@@ -7,6 +7,7 @@
 //    proxy) reaches the paper's cardinalities;
 //  - prints paper-style rows/heatmaps to stdout;
 //  - mirrors the raw numbers to bench_results/<name>.csv.
+// Benches that write a BENCH_*.json stamp it with write_manifest().
 #pragma once
 
 #include <cmath>
@@ -14,10 +15,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/csv.h"
+#include "common/json.h"
 #include "common/log.h"
+#include "common/simd.h"
 #include "common/timer.h"
 #include "core/distributed_greedy.h"
 #include "core/greedy.h"
@@ -69,6 +73,71 @@ class Args {
  private:
   std::vector<std::string> values_;
 };
+
+#ifndef SUBSEL_BUILD_TYPE
+#define SUBSEL_BUILD_TYPE "unknown"
+#endif
+#ifndef SUBSEL_CXX_FLAGS
+#define SUBSEL_CXX_FLAGS "unknown"
+#endif
+
+/// The checkout the bench runs from: `git describe --always --dirty` in the
+/// working directory, else "unknown".
+inline std::string source_commit() {
+  std::string commit;
+  if (std::FILE* pipe =
+          ::popen("git describe --always --dirty --abbrev=12 2>/dev/null", "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) commit += buffer;
+    ::pclose(pipe);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
+
+/// The reproducibility manifest of a BENCH_*.json: which code (commit), built
+/// how (compiler, build type, flags), run where (core count, detected and
+/// active SIMD backend) and at what `scale` (the harness's own size knobs).
+/// Numbers from different manifests are not comparable.
+inline void write_manifest(JsonWriter& json, const std::string& scale) {
+  json.key("manifest").begin_object();
+  json.key("commit").value(source_commit());
+#if defined(__clang__)
+  json.key("compiler").value("clang " __clang_version__);
+#elif defined(__GNUC__)
+  json.key("compiler").value("gcc " __VERSION__);
+#else
+  json.key("compiler").value("unknown");
+#endif
+  json.key("build_type").value(SUBSEL_BUILD_TYPE);
+  json.key("build_flags").value(SUBSEL_CXX_FLAGS);
+  json.key("cores").value(
+      static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  json.key("simd_detected").value(simd::backend_name(simd::detected_backend()));
+  json.key("simd_active").value(simd::active_backend_name());
+  json.key("scale").value(scale);
+  json.end_object();
+}
+
+/// Writes `json` plus a newline to `path`; 0 on success, 1 (with a message)
+/// when the file cannot be written.
+inline int write_json(const std::string& path, const JsonWriter& json) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "%s\n", json.str().c_str());
+  const bool ok = std::fclose(out) == 0;
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
+}
 
 inline std::string results_dir() {
   const char* env = std::getenv("SUBSEL_RESULTS_DIR");

@@ -19,8 +19,7 @@ void register_builtins(ObjectiveRegistry& registry) {
        "f(S) = alpha*sum_{v in S} u(v) - beta*sum_{{v1,v2} in E, v1,v2 in S}"
        " s(v1,v2)",
        {/*linear_priority_updates=*/true, /*utility_bounds=*/true,
-        /*distributed_scoring=*/true, /*monotone=*/false,
-        /*incremental_state=*/true}},
+        /*distributed_scoring=*/true, /*monotone=*/false}},
       [](const SelectionRequest& request) {
         return std::make_unique<core::PairwiseKernel>(*request.ground_set,
                                                       request.objective);
@@ -32,8 +31,7 @@ void register_builtins(ObjectiveRegistry& registry) {
        " representative on the similarity graph (exemplar selection)",
        "f(S) = sum_{v in V} w(v) * max_{s in S} sigma(v,s)",
        {/*linear_priority_updates=*/false, /*utility_bounds=*/false,
-        /*distributed_scoring=*/false, /*monotone=*/true,
-        /*incremental_state=*/true}},
+        /*distributed_scoring=*/false, /*monotone=*/true}},
       [](const SelectionRequest& request) {
         core::FacilityLocationParams params;
         params.self_similarity = request.facility_location.self_similarity;
@@ -49,8 +47,7 @@ void register_builtins(ObjectiveRegistry& registry) {
        "f(S) = sum_{v in V} w(v) * min(tau, sum_{s in S cap N(v)} s(v,s)"
        " + sigma_self*[v in S])",
        {/*linear_priority_updates=*/false, /*utility_bounds=*/false,
-        /*distributed_scoring=*/false, /*monotone=*/true,
-        /*incremental_state=*/true}},
+        /*distributed_scoring=*/false, /*monotone=*/true}},
       [](const SelectionRequest& request) {
         core::SaturatedCoverageParams params;
         params.saturation = request.coverage.saturation;

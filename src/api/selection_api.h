@@ -7,9 +7,9 @@
 //
 //   SelectionRequest : what to select — ground set, budget (k or fraction),
 //                      objective, seed, solver name, per-solver options.
-//   SelectionReport  : what happened — the ids, the *exactly recomputed*
-//                      objective (PairwiseObjective over the full ground
-//                      set, never the solver's internal accounting),
+//   SelectionReport  : what happened — the ids, the *exact* objective (the
+//                      request's kernel over the full ground set, evaluated
+//                      once; never the solver's internal accounting),
 //                      per-stage timings, round/memory statistics, a config
 //                      echo, and JSON serialization.
 //   SolverContext    : shared execution state — the thread pool, the
@@ -261,11 +261,13 @@ struct SelectionReport {
   /// Ascending unique ids; |selected| <= k (streaming baselines may return
   /// fewer), empty when preempted.
   std::vector<NodeId> selected;
-  /// f(selected) recomputed exactly with the objective kernel on the full
-  /// ground set — comparable across every solver (same objective).
+  /// Exact f(selected) on the full ground set under the request's objective,
+  /// computed once per request — comparable across every solver.
   double objective = 0.0;
-  /// Whatever the solver itself reported (subproblem-local accounting for
-  /// greedy variants); kept for diagnosing solver-internal drift.
+  /// Whatever the solver itself reported: the Σ-gain accounting of the lazy,
+  /// stochastic and threshold greedy baselines, which can drift from
+  /// `objective` by float rounding; equal to `objective` for the solvers
+  /// whose own result is the exact f(S).
   double solver_objective = 0.0;
   /// The run was cancelled or stopped before completing.
   bool preempted = false;

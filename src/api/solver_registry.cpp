@@ -89,6 +89,7 @@ core::SelectionPipelineConfig pipeline_config(const SelectionRequest& request,
 void absorb_pipeline_result(core::SelectionPipelineResult&& result,
                             SelectionReport& report) {
   report.selected = std::move(result.selected);
+  report.objective = result.objective;
   report.solver_objective = result.objective;
   report.preempted = result.preempted;
   report.degraded = result.degraded;
@@ -124,6 +125,7 @@ SelectionReport run_distributed_greedy(const SelectionRequest& request,
       greedy_config(request, context, kernel, constraints));
   SelectionReport report;
   report.selected = std::move(result.selected);
+  report.objective = result.objective;
   report.solver_objective = result.objective;
   report.preempted = result.preempted;
   report.degraded = result.degraded;
@@ -172,6 +174,7 @@ SelectionReport run_greedi(const SelectionRequest& request, SolverContext& conte
   auto result = baselines::greedi(*request.ground_set, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
+  report.objective = result.objective;
   report.solver_objective = result.objective;
   report.peak_resident_elements = result.merge_candidates;
   report.peak_partition_bytes = result.peak_partition_bytes;
@@ -184,9 +187,13 @@ SelectionReport run_greedi(const SelectionRequest& request, SolverContext& conte
 
 /// Centralized baselines hold the whole ground set on one machine; their
 /// engine bytes map onto the partition/state memory stats so no solver
-/// reports zeros it shouldn't.
+/// reports zeros it shouldn't. Lazy, stochastic and threshold greedy account
+/// their result as a sum of accepted gains (the solver_objective); the exact
+/// f(S) is evaluated here, once, on the context's pool.
 SelectionReport from_greedy_result(core::GreedyResult&& result,
-                                   std::size_t resident_elements = 0) {
+                                   const core::ObjectiveKernel& kernel,
+                                   const SolverContext& context,
+                                   std::size_t resident_elements) {
   SelectionReport report;
   report.degraded = result.degraded;
   if (result.degraded) {
@@ -196,6 +203,11 @@ SelectionReport from_greedy_result(core::GreedyResult&& result,
   }
   report.selected = std::move(result.selected);
   report.solver_objective = result.objective;
+  report.objective =
+      report.selected.empty()
+          ? 0.0
+          : kernel.evaluate(std::span<const NodeId>(report.selected),
+                            context.pool());
   report.peak_partition_bytes = result.materialized_bytes;
   report.peak_kernel_state_bytes = result.kernel_state_bytes;
   report.peak_resident_elements = resident_elements;
@@ -213,10 +225,12 @@ SelectionReport run_sieve(const SelectionRequest& request, SolverContext& contex
   config.seed = request.seed;
   config.deadline = effective_deadline(request, context);
   config.constraints = constraints;
+  config.pool = context.pool();
   auto result =
       baselines::sieve_streaming(*request.ground_set, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
+  report.objective = result.objective;
   report.solver_objective = result.objective;
   report.peak_resident_elements = result.peak_resident_elements;
   report.degraded = result.degraded;
@@ -241,10 +255,12 @@ SelectionReport run_sample_and_prune(const SelectionRequest& request,
   config.seed = request.seed;
   config.deadline = effective_deadline(request, context);
   config.constraints = constraints;
+  config.pool = context.pool();
   auto result =
       baselines::sample_and_prune(*request.ground_set, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
+  report.objective = result.objective;
   report.solver_objective = result.objective;
   report.peak_resident_elements = result.peak_resident_elements;
   report.peak_partition_bytes = result.materialized_bytes;
@@ -339,7 +355,7 @@ void register_builtins(SolverRegistry& registry) {
             baselines::lazy_greedy(kernel, request.resolved_k(),
                                    effective_deadline(request, context),
                                    constraints),
-            request.ground_set->num_points());
+            kernel, context, request.ground_set->num_points());
       });
 
   registry.register_solver(
@@ -356,7 +372,7 @@ void register_builtins(SolverRegistry& registry) {
                                          request.seed,
                                          effective_deadline(request, context),
                                          constraints),
-            request.ground_set->num_points());
+            kernel, context, request.ground_set->num_points());
       });
 
   registry.register_solver(
@@ -372,7 +388,7 @@ void register_builtins(SolverRegistry& registry) {
                                         request.streaming.epsilon,
                                         effective_deadline(request, context),
                                         constraints),
-            request.ground_set->num_points());
+            kernel, context, request.ground_set->num_points());
       });
 
   SolverCapabilities streaming_caps;
@@ -404,11 +420,17 @@ void register_builtins(SolverRegistry& registry) {
        "Uniform random subset without replacement — the floor every"
        " normalized score is measured against",
        "none", "O(k)", random_caps},
-      [](const SelectionRequest& request, SolverContext&,
+      [](const SelectionRequest& request, SolverContext& context,
          const core::ObjectiveKernel& kernel,
          const core::ConstraintSet* constraints) {
-        return from_greedy_result(baselines::random_selection(
-            kernel, request.resolved_k(), request.seed, constraints));
+        core::GreedyResult result = baselines::random_selection(
+            kernel, request.resolved_k(), request.seed, constraints,
+            context.pool());
+        SelectionReport report;
+        report.selected = std::move(result.selected);
+        report.objective = result.objective;
+        report.solver_objective = result.objective;
+        return report;
       });
 }
 
@@ -489,6 +511,10 @@ SelectionReport SolverRegistry::run(const SelectionRequest& request,
                                 "\" (known: " + known + ")");
   }
   const std::size_t k = request.resolved_k();  // validates request up front
+  core::validate_epsilon(request.distributed.stochastic_epsilon,
+                         "SelectionRequest.distributed.stochastic_epsilon");
+  core::validate_epsilon(request.streaming.epsilon,
+                         "SelectionRequest.streaming.epsilon");
 
   // Resolve the request's constraint block into a validated ConstraintSet.
   // Overlay deletions fold into the blocked set so every solver skips dead
@@ -611,14 +637,6 @@ SelectionReport SolverRegistry::run(const SelectionRequest& request,
     }
   }
 
-  // The uniform, cross-solver comparable number: f(S) recomputed from
-  // scratch on the full ground set through the objective kernel, never the
-  // solver's internal accounting.
-  report.objective =
-      report.selected.empty()
-          ? 0.0
-          : kernel->evaluate(std::span<const NodeId>(report.selected),
-                             context.pool());
   report.total_seconds = total.elapsed_seconds();
   return report;
 }

@@ -84,6 +84,12 @@ class SolverRegistry {
   /// request.ground_set; the constraints are the already-validated resolved
   /// ConstraintSet of the request (nullptr on unconstrained runs — the
   /// common case — so adapters forward it verbatim).
+  ///
+  /// The adapter must set report.objective to the exact f(S) of the
+  /// selection it returns, evaluated once (on context.pool()) or taken from
+  /// a solver that already evaluated it exactly; run() does not rescore, so
+  /// an adapter that leaves it unset reports 0. report.solver_objective is
+  /// whatever the solver itself accounted.
   using SolverFn = std::function<SelectionReport(
       const SelectionRequest&, SolverContext&, const core::ObjectiveKernel&,
       const core::ConstraintSet*)>;
@@ -101,9 +107,9 @@ class SolverRegistry {
   /// All registered solvers, sorted by name.
   std::vector<SolverInfo> list() const;
 
-  /// Dispatches `request.solver`, fills the report's common fields (exact
-  /// objective recompute through the request's kernel, total wall time,
-  /// config echo), and returns it. Throws std::invalid_argument on an
+  /// Dispatches `request.solver`, fills the report's common fields (total
+  /// wall time, config echo; the objective comes from the adapter, see
+  /// SolverFn), and returns it. Throws std::invalid_argument on an
   /// unknown solver or objective name (the message lists the known ones), an
   /// invalid request, or an unsupported solver×objective combination.
   SelectionReport run(const SelectionRequest& request, SolverContext& context) const;

@@ -28,7 +28,8 @@ GreedyResult random_selection(const GroundSet& ground_set, ObjectiveParams param
 
 GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
                               std::uint64_t seed,
-                              const core::ConstraintSet* constraints) {
+                              const core::ConstraintSet* constraints,
+                              ThreadPool* pool) {
   const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
   Rng rng(seed);
@@ -54,7 +55,7 @@ GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
     }
   }
   std::sort(result.selected.begin(), result.selected.end());
-  result.objective = kernel.evaluate(std::span<const NodeId>(result.selected));
+  result.objective = kernel.evaluate(std::span<const NodeId>(result.selected), pool);
   return result;
 }
 
@@ -89,7 +90,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   // Per-partition greedy, selecting k each (capped by partition size), on
   // per-worker reusable arenas. solve_partition dispatches: pairwise kernels
   // take the closed-form arena path, others the batched incremental-state
-  // driver (or the scorer fallback).
+  // driver.
   core::SubproblemArenaPool arena_pool;
   std::vector<std::vector<NodeId>> partials(m);
   std::atomic<std::size_t> peak_bytes{0};
@@ -100,7 +101,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
         ground_set, partitions[p], k, kernel, nullptr, *arena,
         core::PartitionSolver::kPriorityQueue,
         /*stochastic_epsilon=*/0.1, config.seed, nullptr, nullptr,
-        core::GainEngine::kAuto, config.constraints);
+        config.constraints);
     atomic_fetch_max(peak_bytes, local.materialized_bytes);
     atomic_fetch_max(peak_state_bytes, local.kernel_state_bytes);
     partials[p] = std::move(local.selected);
@@ -121,8 +122,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   GreedyResult merged = core::solve_partition(
       ground_set, merge_input, k, kernel, nullptr, *merge_arena,
       core::PartitionSolver::kPriorityQueue, /*stochastic_epsilon=*/0.1,
-      config.seed, &result.merge_bytes, nullptr, core::GainEngine::kAuto,
-      config.constraints);
+      config.seed, &result.merge_bytes, nullptr, config.constraints);
   atomic_fetch_max(peak_bytes, merged.materialized_bytes);
   atomic_fetch_max(peak_state_bytes, merged.kernel_state_bytes);
   result.peak_partition_bytes = peak_bytes.load();
@@ -186,24 +186,24 @@ GreedyResult lazy_greedy(const GroundSet& ground_set, ObjectiveParams params,
   return lazy_greedy(core::PairwiseKernel(ground_set, params), k);
 }
 
-namespace {
-
-/// The lazy-greedy loop over any gain callable: (stale gain, id, |S| when the
-/// gain was computed); outranking = higher gain, smaller id on ties —
-/// consistent with the other implementations. The deadline is checked once
-/// per accepted element (not per re-evaluation): every prefix of the greedy
-/// sequence is itself the exact answer for its own budget, so stopping there
-/// degrades gracefully.
-template <typename GainFn, typename SelectFn>
-GreedyResult lazy_greedy_loop(const ObjectiveKernel& kernel, std::size_t k,
-                              GainFn&& fresh_gain, SelectFn&& commit,
-                              Deadline deadline = {},
-                              core::ConstraintTracker* tracker = nullptr) {
+GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
+                         Deadline deadline,
+                         const core::ConstraintSet* constraints) {
   const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
   GreedyResult result;
   result.selected.reserve(k);
+  MarginalGainEngine engine(kernel);
+  std::optional<core::ConstraintTracker> tracker;
+  if (constraints != nullptr && !constraints->empty()) {
+    tracker.emplace(*constraints);
+  }
 
+  // Heap entries are (stale gain, id, |S| when the gain was computed);
+  // outranking = higher gain, smaller id on ties — consistent with the other
+  // implementations. The deadline is checked once per accepted element (not
+  // per re-evaluation): every prefix of the greedy sequence is itself the
+  // exact answer for its own budget, so stopping there degrades gracefully.
   struct Entry {
     double gain;
     NodeId id;
@@ -224,102 +224,27 @@ GreedyResult lazy_greedy_loop(const ObjectiveKernel& kernel, std::size_t k,
     queue.pop();
     // Infeasible elements are dropped for good: spent cost and group counts
     // only grow, so an element the budgets reject now stays rejected.
-    if (tracker != nullptr && !tracker->feasible(top.id)) continue;
+    if (tracker && !tracker->feasible(top.id)) continue;
     if (top.version == result.selected.size()) {  // gain is fresh: take it
       if (deadline.expired()) {
         result.degraded = true;
         break;
       }
-      commit(top.id);
-      if (tracker != nullptr) tracker->accept(top.id);
+      engine.select(top.id);
+      if (tracker) tracker->accept(top.id);
       result.selected.push_back(top.id);
       total += top.gain;
       continue;
     }
-    top.gain = fresh_gain(top.id);
+    top.gain = engine.gain(top.id);
     top.version = result.selected.size();
     queue.push(top);
   }
   result.objective = total;
-  return result;
-}
-
-}  // namespace
-
-GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
-                         Deadline deadline,
-                         const core::ConstraintSet* constraints) {
-  MarginalGainEngine engine(kernel);
-  std::optional<core::ConstraintTracker> tracker;
-  if (constraints != nullptr && !constraints->empty()) {
-    tracker.emplace(*constraints);
-  }
-  GreedyResult result = lazy_greedy_loop(
-      kernel, k, [&engine](NodeId v) { return engine.gain(v); },
-      [&engine](NodeId v) { engine.select(v); }, deadline,
-      tracker ? &*tracker : nullptr);
   result.materialized_bytes = engine.materialized_bytes();
   result.kernel_state_bytes = engine.kernel_state_bytes();
   return result;
 }
-
-namespace reference {
-
-GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k) {
-  std::vector<std::uint8_t> in_subset(kernel.ground_set().num_points(), 0);
-  return lazy_greedy_loop(
-      kernel, k,
-      [&](NodeId v) { return kernel.marginal_gain(in_subset, v); },
-      [&](NodeId v) { in_subset[static_cast<std::size_t>(v)] = 1; });
-}
-
-GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
-                               double epsilon, std::uint64_t seed) {
-  const std::size_t n = kernel.ground_set().num_points();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-  if (k == 0) return result;
-
-  const std::size_t sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) /
-                                            static_cast<double>(k) *
-                                            std::log(1.0 / epsilon))));
-  Rng rng(seed);
-  std::vector<std::uint8_t> in_subset(n, 0);
-  std::vector<NodeId> remaining(n);
-  for (std::size_t i = 0; i < n; ++i) remaining[i] = static_cast<NodeId>(i);
-
-  double total = 0.0;
-  for (std::size_t step = 0; step < k; ++step) {
-    const std::size_t draw = std::min(sample_size, remaining.size());
-    for (std::size_t i = 0; i < draw; ++i) {
-      const std::size_t j = i + static_cast<std::size_t>(
-                                    rng.uniform_index(remaining.size() - i));
-      std::swap(remaining[i], remaining[j]);
-    }
-    double best_gain = -std::numeric_limits<double>::infinity();
-    std::size_t best_slot = 0;
-    for (std::size_t i = 0; i < draw; ++i) {
-      const double gain = kernel.marginal_gain(in_subset, remaining[i]);
-      if (gain > best_gain ||
-          (gain == best_gain && remaining[i] < remaining[best_slot])) {
-        best_gain = gain;
-        best_slot = i;
-      }
-    }
-    const NodeId chosen = remaining[best_slot];
-    in_subset[static_cast<std::size_t>(chosen)] = 1;
-    result.selected.push_back(chosen);
-    total += best_gain;
-    std::swap(remaining[best_slot], remaining.back());
-    remaining.pop_back();
-  }
-  result.objective = total;
-  return result;
-}
-
-}  // namespace reference
 
 GreedyResult stochastic_greedy(const GroundSet& ground_set, ObjectiveParams params,
                                std::size_t k, double epsilon, std::uint64_t seed) {
@@ -335,6 +260,7 @@ GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
   k = std::min(k, n);
   GreedyResult result;
   result.selected.reserve(k);
+  core::validate_epsilon(epsilon, "stochastic_greedy");
   if (k == 0) return result;
 
   const std::size_t sample_size = std::max<std::size_t>(

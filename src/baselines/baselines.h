@@ -37,15 +37,17 @@ using graph::GroundSet;
 // PairwiseKernel and delegate, with arithmetic chosen so selections and
 // objectives are bit-identical to the pre-kernel implementations.
 
-/// Uniform random subset of size k (without replacement), with its objective.
+/// Uniform random subset of size k (without replacement), with its exact
+/// objective f(S) (evaluated on `pool`, nullptr = the global pool).
 /// Constrained runs take the feasible prefix of a random permutation instead
 /// (still uniform over the sampling order; may return fewer than k elements
-/// when the budgets bind). Unconstrained runs are bit-identical to before.
+/// when the budgets bind).
 GreedyResult random_selection(const GroundSet& ground_set, ObjectiveParams params,
                               std::size_t k, std::uint64_t seed);
 GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
                               std::uint64_t seed,
-                              const core::ConstraintSet* constraints = nullptr);
+                              const core::ConstraintSet* constraints = nullptr,
+                              ThreadPool* pool = nullptr);
 
 enum class PartitionScheme : std::uint8_t {
   kContiguous = 0,  // GreeDi: arbitrary (contiguous-range) assignment
@@ -104,20 +106,9 @@ GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
                          Deadline deadline = {},
                          const core::ConstraintSet* constraints = nullptr);
 
-namespace reference {
-
-/// The pre-engine implementations, verbatim: every gain through the kernel's
-/// exact oracle (one re-evaluation per candidate per round for the sampled
-/// variant). Kept as the equivalence baselines the incremental-state parity
-/// tests and the bench --kernel-hotpath harness measure against.
-GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k);
-GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
-                               double epsilon = 0.1, std::uint64_t seed = 31);
-
-}  // namespace reference
-
 /// Stochastic greedy (lazier-than-lazy): each step evaluates a random sample
-/// of size (n/k)·ln(1/epsilon) and takes its best element.
+/// of size (n/k)·ln(1/epsilon) and takes its best element. Throws
+/// std::invalid_argument unless epsilon is in (0, 1).
 /// `deadline` is checked once per step; an expired run returns the prefix
 /// picked so far with `degraded` set.
 GreedyResult stochastic_greedy(const GroundSet& ground_set, ObjectiveParams params,

@@ -14,7 +14,6 @@ MarginalGainEngine::MarginalGainEngine(const core::ObjectiveKernel& kernel)
     return;  // too large to materialize as one subproblem; oracle fallback
   }
   state_ = kernel.make_incremental_state(arena_);
-  if (state_ == nullptr) return;
   std::vector<core::NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<core::NodeId>(i);
   // Identity member list: sorted ascending, so local id == global id and the

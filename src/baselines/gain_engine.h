@@ -10,11 +10,11 @@
 //
 //  - pairwise-family kernels (pairwise_params() != nullptr) keep the exact
 //    O(deg) oracle — bit-identical to the historical implementations;
-//  - kernels with incremental state get the whole ground set materialized
-//    once as a single subproblem (global id == local id) and run flat O(deg)
-//    gains + O(deg) delta updates + one-virtual-call batch evaluation over
-//    it;
-//  - anything else falls back to the exact oracle.
+//  - every other kernel gets the whole ground set materialized once as a
+//    single subproblem (global id == local id) and runs its incremental
+//    state over it: flat O(deg) gains + O(deg) delta updates +
+//    one-virtual-call batch evaluation;
+//  - ground sets too large to materialize fall back to the exact oracle.
 //
 // The engine owns the membership bitmap: baselines call select() instead of
 // flipping their own bitmap, so the oracle and state paths can never drift.

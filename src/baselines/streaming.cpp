@@ -79,6 +79,7 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
   k = std::min(k, n);
   GreedyResult result;
   result.selected.reserve(k);
+  core::validate_epsilon(epsilon, "threshold_greedy");
   if (k == 0 || n == 0) return result;
 
   std::optional<core::ConstraintTracker> tracker;
@@ -97,19 +98,21 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
   for (std::size_t i = 0; i < n; ++i) {
     d = std::max(d, kernel.singleton_value(static_cast<NodeId>(i)));
   }
+  double total = 0.0;
   if (d <= 0.0) {
     // Degenerate: no positive singleton; fall back to smallest (feasible) ids.
     for (std::size_t i = 0; i < n && result.selected.size() < k; ++i) {
       const auto v = static_cast<NodeId>(i);
       if (tracker && !tracker->feasible(v)) continue;
+      total += engine.gain(v);
+      engine.select(v);
       if (tracker) tracker->accept(v);
       result.selected.push_back(v);
     }
-    result.objective = kernel.evaluate(std::span<const NodeId>(result.selected));
+    result.objective = total;
     return result;
   }
 
-  double total = 0.0;
   const double floor_threshold = epsilon * d / static_cast<double>(n);
   for (double w = d; w >= floor_threshold && result.selected.size() < k;
        w *= (1.0 - epsilon)) {
@@ -169,6 +172,7 @@ SieveStreamingResult sieve_streaming(const GroundSet& ground_set, std::size_t k,
   const std::size_t n = ground_set.num_points();
   k = std::min(k, n);
   SieveStreamingResult result;
+  core::validate_epsilon(config.epsilon, "sieve_streaming");
   if (k == 0 || n == 0) return result;
 
   std::optional<PairwiseKernel> local_kernel;
@@ -262,7 +266,7 @@ SieveStreamingResult sieve_streaming(const GroundSet& ground_set, std::size_t k,
     result.selected = best->selected;
     std::sort(result.selected.begin(), result.selected.end());
     result.objective =
-        kernel.evaluate(std::span<const core::NodeId>(result.selected));
+        kernel.evaluate(std::span<const core::NodeId>(result.selected), config.pool);
   }
   return result;
 }
@@ -401,7 +405,7 @@ SamplePruneResult sample_and_prune(const GroundSet& ground_set, std::size_t k,
   std::sort(solution.begin(), solution.end());
   result.selected = std::move(solution);
   result.objective =
-      kernel.evaluate(std::span<const core::NodeId>(result.selected));
+      kernel.evaluate(std::span<const core::NodeId>(result.selected), config.pool);
   return result;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/run_control.h"
+#include "common/thread_pool.h"
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "core/objective_kernel.h"
@@ -44,7 +45,8 @@ using graph::GroundSet;
 
 /// Threshold greedy: for w = d, d(1−ε), d(1−ε)², …, εd/n (d = the maximum
 /// singleton value), add every element whose marginal gain is ≥ w until k
-/// elements are chosen.
+/// elements are chosen. Throws std::invalid_argument unless epsilon is in
+/// (0, 1).
 /// `deadline` is checked between sweep thresholds and between tail fills: an
 /// expired run returns the elements accepted so far with `degraded` set.
 /// With `constraints`, infeasible candidates are skipped in the sweep and the
@@ -60,6 +62,7 @@ struct SieveStreamingConfig {
   /// Objective kernel; non-owning, must outlive the run and be bound to the
   /// ground set passed to sieve_streaming(). Overrides `objective` when set.
   const ObjectiveKernel* kernel = nullptr;
+  /// Threshold grid ratio (1+ε); must be in (0, 1).
   double epsilon = 0.1;
   /// Add the Appendix-A δ offset to every utility so the monotone analysis
   /// applies. The reported objective is still the *unshifted* f(S).
@@ -75,6 +78,8 @@ struct SieveStreamingConfig {
   /// Each sieve carries its own ConstraintTracker, so every candidate
   /// selection stays independently feasible as the stream goes by.
   const core::ConstraintSet* constraints = nullptr;
+  /// Pool for the final exact f(S) evaluation (nullptr = the global pool).
+  ThreadPool* pool = nullptr;
 };
 
 struct SieveStreamingResult {
@@ -111,6 +116,8 @@ struct SamplePruneConfig {
   /// Infeasible candidates never enter the greedy extension or the top-up;
   /// the run may legally return fewer than k elements.
   const core::ConstraintSet* constraints = nullptr;
+  /// Pool for the final exact f(S) evaluation (nullptr = the global pool).
+  ThreadPool* pool = nullptr;
 };
 
 struct SamplePruneResult {

@@ -14,10 +14,9 @@ SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
                                            const graph::GroundSet& ground_set,
                                            std::size_t k,
                                            SelectionPipelineConfig config) {
-  // This engine's premise is that no stage — including the final scoring —
-  // ever holds the subset on one machine, and the Section 5 scoring joins
-  // exist only for the edge-decomposable pairwise form. Rejecting other
-  // kernels here keeps the core layer in exact agreement with the API's
+  // A bounding-only run is scored with the Section 5 joins, which exist only
+  // for the edge-decomposable pairwise form. Rejecting other kernels here
+  // keeps the core layer in exact agreement with the API's
   // needs_distributed_scoring rule (same combinations, same verdict); the
   // kernel-generic round loops remain reachable through
   // beam_distributed_greedy directly.
@@ -41,9 +40,6 @@ SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
           "\" has none); disable bounding to run this kernel");
     }
   }
-  const auto score = [&](const std::vector<core::NodeId>& selected) {
-    return beam_score(pipeline, ground_set, selected, config.objective);
-  };
   config.bounding.objective = config.objective;
   config.greedy.objective = config.objective;
   config.greedy.kernel = config.kernel;
@@ -65,7 +61,8 @@ SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
 
   if (initial != nullptr && result.bounding->complete()) {
     result.selected = initial->selected_ids();
-    result.objective = score(result.selected);
+    result.objective =
+        beam_score(pipeline, ground_set, result.selected, config.objective);
     return result;
   }
 
@@ -74,13 +71,14 @@ SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
       beam_distributed_greedy(pipeline, ground_set, k, config.greedy, initial);
   result.greedy_seconds = timer.elapsed_seconds();
   result.selected = std::move(greedy.selected);
+  // The round loop already evaluated f(S) exactly; score it only once.
+  result.objective = greedy.objective;
   result.greedy_rounds = std::move(greedy.rounds);
   result.preempted = greedy.preempted;
   if (greedy.degraded) {
     result.degraded = true;
     result.degraded_reason = greedy.degraded_reason;
   }
-  result.objective = score(result.selected);
   return result;
 }
 

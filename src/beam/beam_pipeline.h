@@ -1,9 +1,9 @@
-// End-to-end subset selection entirely on the dataflow substrate: the
-// dataflow counterpart of core::select_subset. Bounding (Section 5's join
-// plan), the multi-round greedy (Section 4.4 as shuffles), and scoring all
-// run as pipeline stages under the same per-worker memory budget — the full
-// deployment story of the paper, where no stage ever holds the ground set or
-// the subset on one machine.
+// End-to-end subset selection on the dataflow substrate: the dataflow
+// counterpart of core::select_subset. Bounding (Section 5's join plan) and
+// the multi-round greedy (Section 4.4 as shuffles) run as pipeline stages
+// under the same per-worker memory budget — the deployment story of the
+// paper, where no solve stage ever holds the whole ground set on one
+// machine.
 #pragma once
 
 #include "beam/beam_bounding.h"
@@ -19,8 +19,9 @@ using core::SelectionPipelineResult;
 /// Dataflow counterpart of core::select_subset: same config and result
 /// shapes, every stage on `pipeline`. The bounding stage produces decisions
 /// bit-identical to core::bound; the greedy stage differs only in partition
-/// randomness (see beam_greedy.h). The final objective is computed with
-/// distributed scoring.
+/// randomness (see beam_greedy.h). The objective is the round loop's exact
+/// f(S), or — when bounding alone decides the subset — the Section 5
+/// distributed scoring joins; either way f(S) is computed once.
 SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
                                            const graph::GroundSet& ground_set,
                                            std::size_t k,

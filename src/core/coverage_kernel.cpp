@@ -13,10 +13,10 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
   return pool != nullptr ? *pool : global_thread_pool();
 }
 
-// Both the scorer and the incremental state work in PREMULTIPLIED RESIDUAL
-// space: per member u they track resid[u], initialized to fl(weight[u]·τ) and
-// decremented by fl(weight[u]·s) for every selected contribution s, and a
-// candidate's gain is
+// The incremental state works in PREMULTIPLIED RESIDUAL space: per member u
+// it tracks resid[u], initialized to fl(weight[u]·τ) and decremented by
+// fl(weight[u]·s) for every selected contribution s, and a candidate's gain
+// is
 //
 //   min(pself_v, max(resid[v], 0)) + Σ_e min(fl(w_u·s_e), max(resid[u], 0))
 //
@@ -25,85 +25,17 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
 // form just replaces a multiply, two minima and a subtraction per edge with
 // one min and one max over precomputed values, which is also exactly the
 // shape vmaxpd/vminpd want. Saturated members need no skip branch: their
-// residual is ≤ 0 and the max clamps the term to exactly +0.0. The scorer
-// below is the reference: the incremental state and every vectorized backend
-// must reproduce its gains bit-for-bit.
+// residual is ≤ 0 and the max clamps the term to exactly +0.0. The scalar
+// backend is the reference: every vectorized backend must reproduce its
+// gains bit-for-bit.
 
-/// Maintains each member's premultiplied residual capacity; gain(v) sums the
-/// saturated increments v would contribute to itself and its local
-/// neighbors.
-class SaturatedCoverageScorer final : public SubproblemScorer {
- public:
-  SaturatedCoverageScorer(const graph::GroundSet& ground_set,
-                          SaturatedCoverageParams params)
-      : ground_set_(&ground_set), params_(params) {}
-
-  void reset(Subproblem& sub, const SelectionState* state) override {
-    sub_ = &sub;
-    const std::size_t n = sub.size();
-    resid_.resize(n);
-    weight_.resize(n);
-    std::vector<graph::Edge> scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId v = sub.global_ids[i];
-      const double w = params_.utility_weighted ? ground_set_->utility(v) : 1.0;
-      weight_[i] = w;
-      double resid = w * params_.saturation;
-      if (state != nullptr) {
-        for (const graph::Edge& e : ground_set_->neighbors_span(v, scratch)) {
-          if (state->is_selected(e.neighbor)) {
-            resid -= w * static_cast<double>(e.weight);
-          }
-        }
-      }
-      resid_[i] = resid;
-    }
-    sub.priorities.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) sub.priorities[i] = gain(i);
-  }
-
-  double gain(std::uint32_t v) const override {
-    const double self_term = std::min(weight_[v] * params_.self_similarity,
-                                      std::max(resid_[v], 0.0));
-    const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
-    const auto end = static_cast<std::size_t>(sub_->offsets[v + 1]);
-    double lanes[ksimd::kLanes] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t lane = 0;
-    for (std::size_t e = begin; e < end; ++e, ++lane) {
-      const auto& edge = sub_->edges[e];
-      lanes[lane & 3] +=
-          std::min(weight_[edge.neighbor] * static_cast<double>(edge.weight),
-                   std::max(resid_[edge.neighbor], 0.0));
-    }
-    return self_term + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-  }
-
-  void select(std::uint32_t v) override {
-    resid_[v] -= weight_[v] * params_.self_similarity;
-    const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
-    const auto end = static_cast<std::size_t>(sub_->offsets[v + 1]);
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto& edge = sub_->edges[e];
-      resid_[edge.neighbor] -=
-          weight_[edge.neighbor] * static_cast<double>(edge.weight);
-    }
-  }
-
- private:
-  const graph::GroundSet* ground_set_;
-  SaturatedCoverageParams params_;
-  const Subproblem* sub_ = nullptr;
-  std::vector<double> resid_;  // premultiplied residual capacity per member
-  std::vector<double> weight_;
-};
-
-/// Flat-state twin of SaturatedCoverageScorer in structure-of-arrays form:
+/// Saturated-coverage gains as flat state in structure-of-arrays form:
 /// premultiplied residual capacity and self terms per member, plus — per edge
 /// of the subproblem CSR — a neighbor column and a premultiplied edge-weight
 /// column (pw[e] = fl(weight[u]·s_e), built once per reset), all in reusable
 /// arena buffers. gain() is one call into the kernel_simd residual-gain
-/// primitive (scalar/AVX2/NEON, bit-identical to the scorer's lane-split
-/// loop); select() decrements the residuals of the picked point and its local
+/// primitive (scalar/AVX2/NEON, bit-identical to each other); select()
+/// decrements the residuals of the picked point and its local
 /// neighbors in O(deg). The backend is captured at construction from
 /// simd::active_backend().
 class SaturatedCoverageIncrementalState final : public KernelIncrementalState {
@@ -321,10 +253,6 @@ double SaturatedCoverageKernel::singleton_value(NodeId v) const {
              std::min(tau, static_cast<double>(e.weight));
   }
   return total;
-}
-
-std::unique_ptr<SubproblemScorer> SaturatedCoverageKernel::make_scorer() const {
-  return std::make_unique<SaturatedCoverageScorer>(*ground_set_, params_);
 }
 
 std::unique_ptr<KernelIncrementalState>

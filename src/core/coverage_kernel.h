@@ -46,7 +46,6 @@ class SaturatedCoverageKernel final : public ObjectiveKernel {
   ObjectiveKernelCaps caps() const noexcept override {
     return {/*linear_priority_updates=*/false, /*utility_bounds=*/false,
             /*distributed_scoring=*/false, /*monotone=*/true,
-            /*incremental_state=*/true,
             /*simd_backend=*/simd::active_backend_name()};
   }
   const graph::GroundSet& ground_set() const noexcept override {
@@ -69,7 +68,6 @@ class SaturatedCoverageKernel final : public ObjectiveKernel {
         static_cast<std::uint64_t>(params_.utility_weighted ? 1 : 0));
   }
 
-  std::unique_ptr<SubproblemScorer> make_scorer() const override;
   std::unique_ptr<KernelIncrementalState> make_incremental_state(
       SubproblemArena& arena) const override;
 

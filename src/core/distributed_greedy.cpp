@@ -307,7 +307,7 @@ DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::siz
             ground_set, partitions[p], per_partition_target, kernel, initial,
             *arena, config.partition_solver, config.stochastic_epsilon,
             hash_combine(config.seed, 0x9e37ULL * round + p), nullptr, nullptr,
-            GainEngine::kAuto, config.constraints);
+            config.constraints);
         atomic_fetch_max(peak_bytes, local.materialized_bytes);
         atomic_fetch_max(peak_state_bytes, local.kernel_state_bytes);
         partition_results[p] = std::move(local.selected);
@@ -365,7 +365,7 @@ DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::siz
           ground_set, survivors, k_open, kernel, initial, *arena,
           PartitionSolver::kPriorityQueue, config.stochastic_epsilon,
           hash_combine(config.seed, config.num_rounds + 1), nullptr, nullptr,
-          GainEngine::kAuto, config.constraints);
+          config.constraints);
       survivors = std::move(final_solve.selected);
     }
   } else {

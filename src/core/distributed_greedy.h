@@ -46,7 +46,7 @@ struct DistributedGreedyConfig {
   /// Objective kernel to maximize; non-owning, must outlive the run and be
   /// bound to the same ground set the solver is given. When set it overrides
   /// `objective` entirely: pairwise-family kernels run the identical arena
-  /// fast path, others the lazy scorer fallback (see core/objective_kernel.h).
+  /// fast path, others their incremental state (see core/objective_kernel.h).
   const ObjectiveKernel* kernel = nullptr;
   /// m — machines available (= maximum parallel partitions).
   std::size_t num_machines = 8;

@@ -13,9 +13,9 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
   return pool != nullptr ? *pool : global_thread_pool();
 }
 
-// Both the scorer and the incremental state work in PREMULTIPLIED coverage
-// space: per member u they track wcover[u] = max over selected s of
-// fl(weight[u] · σ(u,s)), and a candidate's gain is
+// The incremental state works in PREMULTIPLIED coverage space: per member u
+// it tracks wcover[u] = max over selected s of fl(weight[u] · σ(u,s)), and a
+// candidate's gain is
 //
 //   max(0, fl(w_v·σ_self) − wcover[v]) + Σ_e max(0, fl(w_u·s_e) − wcover[u])
 //
@@ -24,86 +24,16 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
 // commutes with max exactly, rounding included), the premultiplied cover is
 // exactly fl(weight·best-similarity) — the layout change moves the multiply
 // out of the gain loop without changing which element wins any comparison.
-// The scorer below is the reference: the incremental state and every
-// vectorized backend must reproduce its gains bit-for-bit.
+// The scalar backend is the reference: every vectorized backend must
+// reproduce its gains bit-for-bit.
 
-/// Maintains, per member, the best premultiplied similarity to anything
-/// selected so far (seeded from the globally pre-selected points when
-/// conditioning on a bounding state). gain(v) sums the coverage improvements
-/// v would bring to itself and its local neighbors.
-class FacilityLocationScorer final : public SubproblemScorer {
- public:
-  FacilityLocationScorer(const graph::GroundSet& ground_set,
-                         FacilityLocationParams params)
-      : ground_set_(&ground_set), params_(params) {}
-
-  void reset(Subproblem& sub, const SelectionState* state) override {
-    sub_ = &sub;
-    const std::size_t n = sub.size();
-    wcover_.assign(n, 0.0);
-    weight_.resize(n);
-    std::vector<graph::Edge> scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId v = sub.global_ids[i];
-      const double w = params_.utility_weighted ? ground_set_->utility(v) : 1.0;
-      weight_[i] = w;
-      if (state != nullptr) {
-        double best = 0.0;
-        for (const graph::Edge& e : ground_set_->neighbors_span(v, scratch)) {
-          if (state->is_selected(e.neighbor)) {
-            best = std::max(best, w * static_cast<double>(e.weight));
-          }
-        }
-        wcover_[i] = best;
-      }
-    }
-    sub.priorities.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) sub.priorities[i] = gain(i);
-  }
-
-  double gain(std::uint32_t v) const override {
-    const double self_term =
-        std::max(0.0, weight_[v] * params_.self_similarity - wcover_[v]);
-    const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
-    const auto end = static_cast<std::size_t>(sub_->offsets[v + 1]);
-    double lanes[ksimd::kLanes] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t lane = 0;
-    for (std::size_t e = begin; e < end; ++e, ++lane) {
-      const auto& edge = sub_->edges[e];
-      lanes[lane & 3] +=
-          std::max(0.0, weight_[edge.neighbor] * static_cast<double>(edge.weight) -
-                            wcover_[edge.neighbor]);
-    }
-    return self_term + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-  }
-
-  void select(std::uint32_t v) override {
-    wcover_[v] = std::max(wcover_[v], weight_[v] * params_.self_similarity);
-    const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
-    const auto end = static_cast<std::size_t>(sub_->offsets[v + 1]);
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto& edge = sub_->edges[e];
-      wcover_[edge.neighbor] =
-          std::max(wcover_[edge.neighbor],
-                   weight_[edge.neighbor] * static_cast<double>(edge.weight));
-    }
-  }
-
- private:
-  const graph::GroundSet* ground_set_;
-  FacilityLocationParams params_;
-  const Subproblem* sub_ = nullptr;
-  std::vector<double> wcover_;  // per-member best premultiplied similarity
-  std::vector<double> weight_;
-};
-
-/// Flat-state twin of FacilityLocationScorer in structure-of-arrays form:
+/// Facility-location gains as flat state in structure-of-arrays form:
 /// best/second-best premultiplied cover, premultiplied self terms, and — per
 /// edge of the subproblem CSR — a neighbor column plus a premultiplied edge
 /// weight column (pw[e] = fl(weight[u]·s_e), built once per reset), all in
 /// reusable arena buffers. gain() is one call into the kernel_simd cover-gain
-/// primitive (scalar/AVX2/NEON, bit-identical to the scorer's lane-split
-/// loop); select() raises the cover of the picked point and its local
+/// primitive (scalar/AVX2/NEON, bit-identical to each other); select()
+/// raises the cover of the picked point and its local
 /// neighbors in O(deg). The backend is captured at construction from
 /// simd::active_backend().
 class FacilityLocationIncrementalState final : public KernelIncrementalState {
@@ -217,8 +147,8 @@ class FacilityLocationIncrementalState final : public KernelIncrementalState {
   const char* backend() const noexcept override { return ops_->name; }
 
  private:
-  /// Same expression tree as FacilityLocationScorer::gain, SoA columns, with
-  /// the edge loop dispatched to the backend bound at construction.
+  /// The gain expression above, with the edge loop dispatched to the backend
+  /// bound at construction.
   double gain_of(std::uint32_t v) const {
     const double self_term = std::max(0.0, pself_[v] - wcover_[v]);
     const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
@@ -339,10 +269,6 @@ double FacilityLocationKernel::singleton_value(NodeId v) const {
     total += point_weight(e.neighbor) * static_cast<double>(e.weight);
   }
   return total;
-}
-
-std::unique_ptr<SubproblemScorer> FacilityLocationKernel::make_scorer() const {
-  return std::make_unique<FacilityLocationScorer>(*ground_set_, params_);
 }
 
 std::unique_ptr<KernelIncrementalState>

@@ -5,13 +5,21 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
-#include "common/simd.h"
-
 #include "core/addressable_heap.h"
 
 namespace subsel::core {
+
+void validate_epsilon(double epsilon, const char* who) {
+  // Negated comparison so NaN fails too.
+  if (!(epsilon > 0.0 && epsilon < 1.0)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": epsilon must be in (0, 1), got " +
+                                std::to_string(epsilon));
+  }
+}
 
 const Subproblem& materialize_subproblem(const GroundSet& ground_set,
                                          std::span<const NodeId> members,
@@ -84,7 +92,7 @@ Subproblem& materialize_subproblem_topology(const GroundSet& ground_set,
   }
 
   const std::size_t n = sub.global_ids.size();
-  sub.priorities.resize(n);  // filled by the kernel's SubproblemScorer
+  sub.priorities.resize(n);  // filled by the kernel's incremental state
   sub.offsets.resize(n + 1);
   sub.offsets[0] = 0;
   sub.edges.clear();
@@ -120,45 +128,6 @@ Subproblem& materialize_subproblem_topology(const GroundSet& ground_set,
   return sub;
 }
 
-Subproblem materialize_subproblem(const GroundSet& ground_set,
-                                  std::vector<NodeId> members,
-                                  ObjectiveParams params,
-                                  const SelectionState* state) {
-  // One-shot convenience path: binary-search membership, no arena. Building
-  // a dense scatter map for a single materialization would cost
-  // O(num_points) memory for no amortization; repeated callers (the round
-  // loops) use the arena overload.
-  return reference::materialize_subproblem(ground_set, std::move(members),
-                                           params, state);
-}
-
-GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                  ObjectiveParams params) {
-  const std::size_t n = subproblem.size();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-
-  AddressableMaxHeap heap(subproblem.priorities);
-  const double pair_scale = params.pair_scale();
-  double priority_sum = 0.0;
-  while (result.selected.size() < k) {
-    const auto v1 = heap.pop_max();
-    priority_sum += heap.priority(v1);
-    result.selected.push_back(subproblem.global_ids[v1]);
-    const auto begin = static_cast<std::size_t>(subproblem.offsets[v1]);
-    const auto end = static_cast<std::size_t>(subproblem.offsets[v1 + 1]);
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto& edge = subproblem.edges[e];
-      if (heap.contains(edge.neighbor)) {
-        heap.decrease_weight_by(edge.neighbor, pair_scale * edge.weight);
-      }
-    }
-  }
-  result.objective = params.alpha * priority_sum;
-  return result;
-}
-
 GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
                                   ObjectiveParams params, SubproblemArena& arena,
                                   ConstraintTracker* tracker) {
@@ -185,107 +154,10 @@ GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
     const auto begin = static_cast<std::size_t>(subproblem.offsets[v1]);
     const auto end = static_cast<std::size_t>(subproblem.offsets[v1 + 1]);
     // Fused per-edge decrease straight off the CSR slice (popped neighbors
-    // are skipped inside) — bit-identical to the seed per-edge loop.
+    // are skipped inside).
     heap.decrease_edges(subproblem.edges.data() + begin, end - begin, pair_scale);
   }
   result.objective = params.alpha * priority_sum;
-  return result;
-}
-
-GreedyResult lazy_greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                       SubproblemScorer& scorer,
-                                       SubproblemArena& arena,
-                                       ConstraintTracker* tracker) {
-  const std::size_t n = subproblem.size();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-
-  AddressableMaxHeap& heap = arena.heap();
-  heap.assign(subproblem.priorities);
-  // version[v] = |selection| when v's heap priority was last computed; the
-  // top of the heap is only trusted when its gain is fresh.
-  std::vector<std::uint32_t> version(n, 0);
-  while (result.selected.size() < k && !heap.empty()) {
-    const auto v1 = heap.peek();
-    if (tracker != nullptr && !tracker->feasible(subproblem.global_ids[v1])) {
-      heap.pop_max();  // monotone infeasibility: dropped for good
-      continue;
-    }
-    const auto selection_size = static_cast<std::uint32_t>(result.selected.size());
-    if (version[v1] == selection_size) {
-      heap.pop_max();
-      result.objective += heap.priority(v1);
-      result.selected.push_back(subproblem.global_ids[v1]);
-      if (tracker != nullptr) tracker->accept(subproblem.global_ids[v1]);
-      scorer.select(v1);
-      continue;
-    }
-    version[v1] = selection_size;
-    // Submodularity: the fresh gain can only be lower, so update-in-place
-    // keeps the heap a valid upper-bound structure.
-    heap.update(v1, scorer.gain(v1));
-  }
-  return result;
-}
-
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k, SubproblemScorer& scorer,
-                                             double epsilon, std::uint64_t seed,
-                                             ConstraintTracker* tracker) {
-  const std::size_t n = subproblem.size();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-  if (k == 0) return result;
-  if (epsilon <= 0.0 || epsilon >= 1.0) {
-    throw std::invalid_argument("stochastic_greedy_on_subproblem: epsilon in (0,1)");
-  }
-
-  // Same live-set bookkeeping and Rng stream as the pairwise overload; only
-  // the scoring differs (fresh scorer gains instead of maintained
-  // priorities).
-  std::vector<std::uint32_t> live(n);
-  for (std::uint32_t i = 0; i < n; ++i) live[i] = i;
-  const std::size_t sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) /
-                                            static_cast<double>(k) *
-                                            std::log(1.0 / epsilon))));
-  Rng rng(seed);
-  while (result.selected.size() < k) {
-    if (tracker != nullptr) {
-      // Sampled steps must never pick an infeasible best-of-sample, so the
-      // live set is compacted to feasible candidates before each draw.
-      std::erase_if(live, [&](std::uint32_t v) {
-        return !tracker->feasible(subproblem.global_ids[v]);
-      });
-      if (live.empty()) break;
-    }
-    const std::size_t live_count = live.size();
-    const std::size_t draw = std::min(sample_size, live_count);
-    for (std::size_t i = 0; i < draw; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng.uniform_index(live_count - i));
-      std::swap(live[i], live[j]);
-    }
-    std::size_t best_slot = 0;
-    double best_gain = scorer.gain(live[0]);
-    for (std::size_t i = 1; i < draw; ++i) {
-      const double gain = scorer.gain(live[i]);
-      if (gain > best_gain ||
-          (gain == best_gain && live[i] < live[best_slot])) {
-        best_gain = gain;
-        best_slot = i;
-      }
-    }
-    const std::uint32_t v1 = live[best_slot];
-    result.objective += best_gain;
-    result.selected.push_back(subproblem.global_ids[v1]);
-    if (tracker != nullptr) tracker->accept(subproblem.global_ids[v1]);
-    scorer.select(v1);
-    live[best_slot] = live.back();
-    live.pop_back();
-  }
   return result;
 }
 
@@ -301,8 +173,8 @@ GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
 
   AddressableMaxHeap& heap = arena.heap();
   heap.assign(subproblem.priorities);
-  // version[v] = |selection| when v's heap priority was last computed — the
-  // same freshness rule as the scorer driver, on arena scratch.
+  // version[v] = |selection| when v's heap priority was last computed; the
+  // top of the heap is only trusted when its gain is fresh.
   std::vector<std::uint32_t>& version = arena.version_scratch();
   version.assign(n, 0);
   std::vector<std::uint32_t>& batch = arena.candidate_scratch();
@@ -330,8 +202,8 @@ GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
       continue;
     }
     if (batch_limit == 1) {
-      // Single stale top: refresh in place (one sift), exactly like the
-      // scorer driver.
+      // Single stale top: refresh in place (one sift). Submodularity: the
+      // fresh gain can only be lower, so the heap stays an upper bound.
       version[top] = selection_size;
       heap.update(top, state.gain(top));
       batch_limit = 2;
@@ -368,12 +240,10 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
   GreedyResult result;
   result.selected.reserve(k);
   if (k == 0) return result;
-  if (epsilon <= 0.0 || epsilon >= 1.0) {
-    throw std::invalid_argument("stochastic_greedy_on_subproblem: epsilon in (0,1)");
-  }
+  validate_epsilon(epsilon, "stochastic_greedy_on_subproblem");
 
-  // Same live-set bookkeeping and Rng stream as the scorer overload; the
-  // sample's gains come from one gains_batch call per step.
+  // Same Rng stream as the pairwise overload; the sample's gains come from
+  // one gains_batch call per step.
   std::vector<std::uint32_t> live(n);
   for (std::uint32_t i = 0; i < n; ++i) live[i] = i;
   const std::size_t sample_size = std::max<std::size_t>(
@@ -425,7 +295,7 @@ GreedyResult solve_partition(const GroundSet& ground_set,
                              PartitionSolver partition_solver,
                              double stochastic_epsilon, std::uint64_t seed,
                              std::size_t* materialized_bytes,
-                             std::size_t* state_bytes, GainEngine gain_engine,
+                             std::size_t* state_bytes,
                              const ConstraintSet* constraints) {
   const auto finish = [&](GreedyResult result, std::size_t sub_bytes,
                           std::size_t kernel_bytes) {
@@ -447,7 +317,7 @@ GreedyResult solve_partition(const GroundSet& ground_set,
   }
 
   if (const ObjectiveParams* params = kernel.pairwise_params()) {
-    // Closed-form path — the exact pre-kernel machine code.
+    // Closed-form path: priorities are the marginal gains.
     const Subproblem& sub =
         materialize_subproblem(ground_set, members, *params, state, arena);
     return finish(
@@ -458,89 +328,19 @@ GreedyResult solve_partition(const GroundSet& ground_set,
         sub.byte_size(), 0);
   }
   Subproblem& sub = materialize_subproblem_topology(ground_set, members, arena);
-  if (gain_engine != GainEngine::kScorerReference) {
-    // Incremental states bind their vectorized backend at construction, so a
-    // scoped scalar override here pins this whole solve to the portable
-    // fallback (the kIncrementalScalar forcing seam).
-    std::optional<simd::ScopedBackendOverride> force_scalar;
-    if (gain_engine == GainEngine::kIncrementalScalar) {
-      force_scalar.emplace(simd::Backend::kScalar);
-    }
-    if (const std::unique_ptr<KernelIncrementalState> incremental =
-            kernel.make_incremental_state(arena)) {
-      // The sampled driver evaluates strictly through gains_batch, so the
-      // O(n·deg) initial-priority pass is skipped for it.
-      const bool sampled = partition_solver == PartitionSolver::kStochastic;
-      incremental->reset(sub, state, /*init_priorities=*/!sampled);
-      return finish(
-          sampled ? stochastic_greedy_on_subproblem(sub, k, *incremental,
-                                                    stochastic_epsilon, seed,
-                                                    arena, tracker_ptr)
-                  : incremental_greedy_on_subproblem(sub, k, *incremental, arena,
-                                                     tracker_ptr),
-          sub.byte_size(), incremental->state_bytes());
-    }
-  }
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(sub, state);
-  return finish(partition_solver == PartitionSolver::kStochastic
-                    ? stochastic_greedy_on_subproblem(sub, k, *scorer,
-                                                      stochastic_epsilon, seed,
-                                                      tracker_ptr)
-                    : lazy_greedy_on_subproblem(sub, k, *scorer, arena, tracker_ptr),
-                sub.byte_size(), 0);
+  const std::unique_ptr<KernelIncrementalState> incremental =
+      kernel.make_incremental_state(arena);
+  // The sampled driver evaluates strictly through gains_batch, so the
+  // O(n·deg) initial-priority pass is skipped for it.
+  const bool sampled = partition_solver == PartitionSolver::kStochastic;
+  incremental->reset(sub, state, /*init_priorities=*/!sampled);
+  return finish(sampled ? stochastic_greedy_on_subproblem(sub, k, *incremental,
+                                                          stochastic_epsilon, seed,
+                                                          arena, tracker_ptr)
+                        : incremental_greedy_on_subproblem(sub, k, *incremental,
+                                                           arena, tracker_ptr),
+                sub.byte_size(), incremental->state_bytes());
 }
-
-namespace reference {
-
-Subproblem materialize_subproblem(const GroundSet& ground_set,
-                                  std::vector<NodeId> members,
-                                  ObjectiveParams params,
-                                  const SelectionState* state) {
-  std::sort(members.begin(), members.end());
-  if (std::adjacent_find(members.begin(), members.end()) != members.end()) {
-    throw std::invalid_argument("materialize_subproblem: duplicate member");
-  }
-
-  Subproblem sub;
-  sub.global_ids = std::move(members);
-  const std::size_t n = sub.global_ids.size();
-  sub.priorities.resize(n);
-  sub.offsets.assign(n + 1, 0);
-
-  const double pair_scale = params.pair_scale();
-  std::vector<graph::Edge> scratch;
-  // First pass: adjusted utilities + intra-subset edge counts.
-  std::vector<Subproblem::LocalEdge> local_edges;
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId v = sub.global_ids[i];
-    double priority = ground_set.utility(v);
-    ground_set.neighbors(v, scratch);
-    for (const graph::Edge& e : scratch) {
-      if (state != nullptr && state->is_selected(e.neighbor)) {
-        priority -= pair_scale * e.weight;
-        continue;
-      }
-      const auto it = std::lower_bound(sub.global_ids.begin(), sub.global_ids.end(),
-                                       e.neighbor);
-      if (it != sub.global_ids.end() && *it == e.neighbor) {
-        local_edges.push_back(Subproblem::LocalEdge{
-            static_cast<std::uint32_t>(it - sub.global_ids.begin()), e.weight});
-      }
-    }
-    sub.priorities[i] = priority;
-    sub.offsets[i + 1] = static_cast<std::int64_t>(local_edges.size());
-  }
-  sub.edges = std::move(local_edges);
-  return sub;
-}
-
-GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                  ObjectiveParams params) {
-  return core::greedy_on_subproblem(subproblem, k, params);
-}
-
-}  // namespace reference
 
 GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
                                              std::size_t k, ObjectiveParams params,
@@ -551,9 +351,7 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
   GreedyResult result;
   result.selected.reserve(k);
   if (k == 0) return result;
-  if (epsilon <= 0.0 || epsilon >= 1.0) {
-    throw std::invalid_argument("stochastic_greedy_on_subproblem: epsilon in (0,1)");
-  }
+  validate_epsilon(epsilon, "stochastic_greedy_on_subproblem");
 
   // Priorities double as marginal gains (pairwise structure); no heap — each
   // step scans only the sampled candidates.

@@ -57,40 +57,32 @@ struct GreedyResult {
   bool degraded = false;
 };
 
-/// Materializes the subproblem induced by `members` (any order; sorted
-/// internally). Edges to non-members are dropped — exactly the "discard any
-/// neighborhood relation across partitions" rule of Section 4.4. If `state`
-/// is given, member utilities are conditioned on its selected points (edges
-/// into S′ keep influencing marginal gains, Definition 4.2-style).
-/// One-shot convenience overload (binary-search membership); the round loops
-/// use the arena overload below.
-Subproblem materialize_subproblem(const GroundSet& ground_set,
-                                  std::vector<NodeId> members,
-                                  ObjectiveParams params,
-                                  const SelectionState* state = nullptr);
+/// Throws std::invalid_argument naming `who` unless `epsilon` lies in (0, 1)
+/// (NaN included). ε is the accuracy knob of every sampled and threshold
+/// solver; 0 or 1 would hang them or turn their sample size into UB.
+void validate_epsilon(double epsilon, const char* who);
 
-/// Hot-path variant: materializes into `arena`'s reusable storage and returns
-/// a reference to it (valid until the arena's next materialize). Membership
-/// tests use the arena's epoch-stamped scatter map (O(1) per edge, no
-/// per-partition clearing) when the ground set is small enough for the dense
-/// map, and binary search over the member list otherwise; neighborhoods are
-/// read through the zero-copy GroundSet::neighbors_span path. Selections are
-/// identical to the by-value overload.
+/// Materializes the subproblem induced by `members` (any order; sorted
+/// internally) into `arena`'s reusable storage and returns a reference to it
+/// (valid until the arena's next materialize). Edges to non-members are
+/// dropped — exactly the "discard any neighborhood relation across
+/// partitions" rule of Section 4.4. If `state` is given, member utilities are
+/// conditioned on its selected points (edges into S′ keep influencing
+/// marginal gains, Definition 4.2-style). Membership tests use the arena's
+/// epoch-stamped scatter map (O(1) per edge, no per-partition clearing) when
+/// the ground set is small enough for the dense map, and binary search over
+/// the member list otherwise; neighborhoods are read through the zero-copy
+/// GroundSet::neighbors_span path.
 const Subproblem& materialize_subproblem(const GroundSet& ground_set,
                                          std::span<const NodeId> members,
                                          ObjectiveParams params,
                                          const SelectionState* state,
                                          SubproblemArena& arena);
 
-/// Algorithm 2 on a subproblem; selects min(k, size) points.
-GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                  ObjectiveParams params);
-
-/// Hot-path variant: runs on the arena's reusable heap (no per-partition
-/// allocation) and applies each pop's neighbor updates with one batched
-/// decrease_many restore pass. Bit-identical selections and objectives to the
-/// arena-free overload. `subproblem` may be (and typically is) the arena's
-/// own subproblem.
+/// Algorithm 2 on a subproblem; selects min(k, size) points. Runs on the
+/// arena's reusable heap (no per-partition allocation) and applies each
+/// pop's neighbor updates with one fused decrease pass straight off the CSR
+/// slice. `subproblem` may be (and typically is) the arena's own subproblem.
 ///
 /// All subproblem drivers take an optional ConstraintTracker (global-id
 /// space). When given, a popped candidate that the tracker rejects is dropped
@@ -114,45 +106,26 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
                                              double epsilon, std::uint64_t seed,
                                              ConstraintTracker* tracker = nullptr);
 
-/// Topology-only arena materialization for the kernel fallback path: global
+/// Topology-only arena materialization for the incremental-state path: global
 /// ids + member-restricted CSR, with `priorities` sized but left for the
-/// kernel's SubproblemScorer to fill (SubproblemScorer::reset). Shares the
-/// epoch-stamped scatter-map membership machinery of the pairwise overload.
+/// kernel's KernelIncrementalState to fill (KernelIncrementalState::reset).
+/// Shares the epoch-stamped scatter-map membership machinery of the pairwise
+/// overload.
 Subproblem& materialize_subproblem_topology(const GroundSet& ground_set,
                                             std::span<const NodeId> members,
                                             SubproblemArena& arena);
 
-/// Lazy greedy (Minoux) over kernel-supplied gains — the fallback partition
+/// Lazy greedy (Minoux) over flat incremental kernel state — the partition
 /// solver for kernels without closed-form priority updates. The heap holds
-/// possibly-stale gains; the top is re-evaluated through the scorer before
-/// being accepted, which is exact for any submodular kernel (stale values
-/// only ever overestimate). `scorer` must already be reset() on `subproblem`
-/// (its initial gains are read from subproblem.priorities). Ties break
-/// toward smaller local ids, like every other solver in this repo.
-GreedyResult lazy_greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                       SubproblemScorer& scorer,
-                                       SubproblemArena& arena,
-                                       ConstraintTracker* tracker = nullptr);
-
-/// Stochastic greedy over kernel-supplied gains: each step scans a uniform
-/// sample of ceil(n/k·ln(1/eps)) live candidates, evaluating each through the
-/// scorer. Sampling sequence matches the pairwise overload (same Rng stream),
-/// so kernels differ only in scoring.
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k, SubproblemScorer& scorer,
-                                             double epsilon, std::uint64_t seed,
-                                             ConstraintTracker* tracker = nullptr);
-
-/// Batched lazy greedy over flat incremental kernel state — the hot-path
-/// replacement of the scorer driver. Stale heap tops are popped in runs of up
-/// to kGainRefreshBatch, re-evaluated with ONE gains_batch call (flat loops,
-/// no per-candidate virtual dispatch), and pushed back with their fresh
-/// gains. Because heap pop/peek order is the (priority, id) total order and
-/// fresh gains can only be lower than stale ones (submodularity), the
-/// accepted element each step is identical to the one-at-a-time scorer
-/// driver's — selections and objectives match lazy_greedy_on_subproblem
-/// bit-for-bit when the state mirrors the scorer's arithmetic. `state` must
-/// already be reset() on `subproblem`.
+/// possibly-stale gains (exact for any submodular kernel: stale values only
+/// ever overestimate). Stale heap tops are popped in runs of up to
+/// kGainRefreshBatch, re-evaluated with ONE gains_batch call (flat loops, no
+/// per-candidate virtual dispatch), and pushed back with their fresh gains.
+/// Because heap pop/peek order is the (priority, id) total order and fresh
+/// gains can only be lower than stale ones (submodularity), the accepted
+/// element each step is identical to a one-at-a-time lazy loop's. Ties break
+/// toward smaller local ids. `state` must already be reset() on
+/// `subproblem` (its initial gains are read from subproblem.priorities).
 GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
                                               std::size_t k,
                                               KernelIncrementalState& state,
@@ -162,10 +135,10 @@ GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
 /// Candidates the batched lazy driver re-evaluates per gains_batch call.
 inline constexpr std::size_t kGainRefreshBatch = 32;
 
-/// Stochastic greedy over incremental state: the drawn sample is evaluated
-/// with one gains_batch call per step. Same Rng stream and tie-breaking as
-/// the scorer overload, so selections coincide when the state mirrors the
-/// scorer's arithmetic.
+/// Stochastic greedy over incremental state: each step scans a uniform
+/// sample of ceil(n/k·ln(1/eps)) live candidates, evaluated with one
+/// gains_batch call. Same Rng stream as the pairwise overload, so kernels
+/// differ only in scoring.
 GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
                                              std::size_t k,
                                              KernelIncrementalState& state,
@@ -173,32 +146,16 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
                                              SubproblemArena& arena,
                                              ConstraintTracker* tracker = nullptr);
 
-/// Which gain machinery solve_partition runs for kernels without closed-form
-/// priority updates. kAuto prefers the kernel's flat incremental state
-/// (batched gains, O(deg) delta updates) and falls back to the virtual
-/// scorer; kScorerReference forces the scorer — the equivalence oracle the
-/// parity tests and the --kernel-hotpath bench hold the fast path against;
-/// kIncrementalScalar runs the incremental state but pins its vectorized
-/// inner loops to the portable scalar backend (the same effect as
-/// SUBSEL_FORCE_SCALAR=1, scoped to one solve) — the forcing seam the
-/// SIMD-vs-scalar parity suite and the --simd-matrix bench are built on.
-/// All three engines produce bit-identical selections and objectives.
-enum class GainEngine : std::uint8_t {
-  kAuto = 0,
-  kScorerReference = 1,
-  kIncrementalScalar = 2,
-};
-
 /// The one partition-solve entry point the round loops (distributed greedy,
 /// GreeDi, beam) call: materializes `members` and selects min(k, size) points
 /// under `kernel`. Pairwise-family kernels (pairwise_params() != nullptr)
-/// take the exact pre-kernel arena fast path — bit-identical selections and
-/// objectives, zero added hot-path work; other kernels run the batched
-/// incremental-state driver (or the lazy/sampled scorer fallback, see
-/// GainEngine). `materialized_bytes`/`state_bytes`, when non-null, receive
-/// the subproblem's byte size and the flat kernel-state byte size (the
-/// round-stats memory numbers; both are also set on the returned
-/// GreedyResult).
+/// take the closed-form arena path; other kernels run the batched
+/// incremental-state driver. Incremental states bind the vectorized backend
+/// active when the call starts, so a simd::ScopedBackendOverride around it
+/// pins the whole solve to one backend. `materialized_bytes`/`state_bytes`,
+/// when non-null, receive the subproblem's byte size and the flat
+/// kernel-state byte size (the round-stats memory numbers; both are also set
+/// on the returned GreedyResult).
 ///
 /// `constraints` (global-id space, validated) activates constrained
 /// acceptance in whichever driver runs: a fresh ConstraintTracker is seeded
@@ -214,7 +171,6 @@ GreedyResult solve_partition(const GroundSet& ground_set,
                              double stochastic_epsilon, std::uint64_t seed,
                              std::size_t* materialized_bytes = nullptr,
                              std::size_t* state_bytes = nullptr,
-                             GainEngine gain_engine = GainEngine::kAuto,
                              const ConstraintSet* constraints = nullptr);
 
 /// Algorithm 2 on a full materialized dataset (fast path, no id translation).
@@ -230,24 +186,8 @@ GreedyResult naive_greedy(const GroundSet& ground_set, ObjectiveParams params,
                           std::size_t k);
 
 /// Reference greedy over an arbitrary kernel: recomputes every marginal gain
-/// each step through the kernel's exact oracle. The equivalence baseline the
-/// conformance tests hold the lazy/scorer machinery against.
+/// each step through the kernel's exact oracle. The ground truth the
+/// conformance tests hold the incremental-state machinery against.
 GreedyResult naive_greedy(const ObjectiveKernel& kernel, std::size_t k);
-
-/// The seed (pre-arena) implementations, kept verbatim as the equivalence
-/// oracle for the zero-copy/arena fast path and as the perf baseline recorded
-/// in BENCH_micro_core.json: per-edge std::lower_bound membership, a fresh
-/// edge-copy buffer, and a freshly allocated heap with per-edge sift-downs.
-namespace reference {
-
-Subproblem materialize_subproblem(const GroundSet& ground_set,
-                                  std::vector<NodeId> members,
-                                  ObjectiveParams params,
-                                  const SelectionState* state = nullptr);
-
-GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
-                                  ObjectiveParams params);
-
-}  // namespace reference
 
 }  // namespace subsel::core

@@ -1,5 +1,5 @@
 // Vectorized inner-loop primitives for the ObjectiveKernel incremental
-// states and their scorer oracles.
+// states.
 //
 // The three coverage-style gain loops in this repo share one shape: walk a
 // candidate's CSR edge slice, combine a contiguous premultiplied edge term
@@ -12,7 +12,7 @@
 //    self_term + ((lane0 + lane1) + (lane2 + lane3)). Every backend performs
 //    the same IEEE-754 operations in the same per-lane order, so gains —
 //    and therefore selections and objectives — are BIT-IDENTICAL across
-//    scalar/AVX2/NEON. The scorer oracles mirror the same lane order inline.
+//    scalar/AVX2/NEON; the portable scalar backend is the reference.
 //  - PREMULTIPLIED TERMS. Edge weights arrive premultiplied by the covered
 //    node's weight (pw[e] = fl(weight[u] * w_e)), and per-node state is kept
 //    in the same premultiplied space (weighted cover, weighted residual).

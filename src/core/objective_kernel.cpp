@@ -23,57 +23,13 @@ namespace {
 
 /// Pairwise gains maintained incrementally: gain(v|S) = α·u(v) − β·Σ s over
 /// selected neighbors, so selecting v1 lowers each local neighbor's gain by
-/// β·s. Only used by tests and by downstream kernels that wrap pairwise
-/// without the linear-update capability — the round loops route pairwise
-/// through the closed-form arena path instead.
-class PairwiseScorer final : public SubproblemScorer {
- public:
-  PairwiseScorer(const graph::GroundSet& ground_set, ObjectiveParams params)
-      : ground_set_(&ground_set), params_(params) {}
-
-  void reset(Subproblem& sub, const SelectionState* state) override {
-    sub_ = &sub;
-    const std::size_t n = sub.size();
-    sub.priorities.resize(n);
-    gains_.resize(n);
-    std::vector<graph::Edge> scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId v = sub.global_ids[i];
-      double gain = params_.alpha * ground_set_->utility(v);
-      if (state != nullptr) {
-        for (const graph::Edge& e : ground_set_->neighbors_span(v, scratch)) {
-          if (state->is_selected(e.neighbor)) gain -= params_.beta * e.weight;
-        }
-      }
-      gains_[i] = gain;
-      sub.priorities[i] = gain;
-    }
-  }
-
-  double gain(std::uint32_t v) const override { return gains_[v]; }
-
-  void select(std::uint32_t v) override {
-    const auto begin = static_cast<std::size_t>(sub_->offsets[v]);
-    const auto end = static_cast<std::size_t>(sub_->offsets[v + 1]);
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto& edge = sub_->edges[e];
-      gains_[edge.neighbor] -= params_.beta * edge.weight;
-    }
-  }
-
- private:
-  const graph::GroundSet* ground_set_;
-  ObjectiveParams params_;
-  const Subproblem* sub_ = nullptr;
-  std::vector<double> gains_;
-};
-
-/// Flat-state twin of PairwiseScorer: identical arithmetic (alpha*u - beta*s
-/// accumulation), gains held in an arena buffer, batch reads with no
-/// per-element dispatch. Pairwise marginal gains are linear in the selected
+/// β·s. Gains are held in an arena buffer and batch reads carry no
+/// per-element dispatch. Marginal gains are linear in the selected
 /// neighborhood, so the maintained array IS always fresh — gains_batch is a
 /// pure gather, dispatched to the vectorized backend bound at construction
-/// (loads only, so every backend is trivially bit-identical).
+/// (loads only, so every backend is trivially bit-identical). The solvers
+/// route pairwise through the closed-form path (pairwise_params()) instead;
+/// this state serves kernels that wrap pairwise without exposing its params.
 class PairwiseIncrementalState final : public KernelIncrementalState {
  public:
   PairwiseIncrementalState(const graph::GroundSet& ground_set,
@@ -148,10 +104,6 @@ PairwiseKernel::PairwiseKernel(const graph::GroundSet& ground_set,
 std::uint64_t PairwiseKernel::config_fingerprint() const noexcept {
   return fingerprint_mix(fingerprint_mix(0xcbf29ce484222325ULL, params_.alpha),
                          params_.beta);
-}
-
-std::unique_ptr<SubproblemScorer> PairwiseKernel::make_scorer() const {
-  return std::make_unique<PairwiseScorer>(*ground_set_, params_);
 }
 
 std::unique_ptr<KernelIncrementalState> PairwiseKernel::make_incremental_state(

@@ -1,29 +1,24 @@
 // The pluggable objective seam: everything a selection solver needs to know
 // about the function it maximizes, captured in one interface.
 //
-// The repo's solvers historically hardwired the paper's pairwise objective
-// f(S) = α·Σu(v) − β·Σs(v1,v2). An ObjectiveKernel decouples them from that
-// choice. A kernel provides:
+// A kernel provides:
 //
 //  - exact `evaluate` / `marginal_gain` / `singleton_value` over the full
-//    ground set (the cross-solver comparable numbers, and the fallback gain
-//    oracle for the centralized/streaming baselines);
+//    ground set. `evaluate` is the cross-solver comparable f(S) every report
+//    carries (computed once per request); `marginal_gain` is the exact
+//    oracle the pairwise baselines and the conformance tests use;
 //  - a `gain_offset` making every marginal gain non-negative (the Appendix-A
 //    monotonicity shift, 0 for inherently monotone kernels);
-//  - the priority-queue hooks of the arena-backed hot path. Kernels whose
-//    marginal gains are *linear in the selected neighborhood* — gain(v|S) =
+//  - exactly one gain engine for the partition solves. Kernels whose marginal
+//    gains are *linear in the selected neighborhood* — gain(v|S) =
 //    α·(u(v) − (β/α)·Σ_{j∈S∩N(v)} s(v,j)) — expose their ObjectiveParams via
-//    `pairwise_params()`, and the round loops run the exact same
-//    materialize + batched-decrease-key machine code as before (bit-identical
-//    selections, zero hot-path overhead). Every other kernel supplies flat,
-//    arena-backed *incremental state* (make_incremental_state): per-element
-//    cover/residual arrays updated in O(deg(selected)) per pick, with a
-//    gains_batch bulk evaluator the batched lazy solve loop feeds candidate
-//    runs through — one virtual call per batch, flat loops inside, instead of
-//    one virtual SubproblemScorer call per candidate. The virtual
-//    SubproblemScorer remains as the equivalence oracle (and the fallback for
-//    external kernels that implement neither hook); both fallbacks are exact
-//    for any submodular kernel: stale priorities only overestimate, so
+//    `pairwise_params()`, and the solvers run the closed-form materialize +
+//    batched-decrease-key path. Every kernel supplies flat, arena-backed
+//    *incremental state* (`make_incremental_state`): per-element
+//    cover/residual arrays updated in O(deg) per pick, with a gains_batch
+//    bulk evaluator the batched lazy driver feeds candidate runs through —
+//    one virtual call per batch, flat loops inside. Lazy re-evaluation is
+//    exact for any submodular kernel: stale priorities only overestimate, so
 //    re-checking the heap top suffices.
 //
 // Capability flags tell the API layer which solver×objective combinations are
@@ -61,10 +56,6 @@ struct ObjectiveKernelCaps {
   bool distributed_scoring = false;
   /// Monotone non-decreasing without any offset (gain_offset() == 0).
   bool monotone = false;
-  /// make_incremental_state() returns flat arena-backed per-element state, so
-  /// solvers run O(deg) incremental gains + batched evaluation instead of the
-  /// O(deg^2) exact oracle / per-candidate virtual scorer.
-  bool incremental_state = false;
   /// The vectorized backend the kernel's incremental-state inner loops will
   /// dispatch to right now ("scalar", "avx2", "neon") — i.e.
   /// simd::active_backend_name() at the time caps() is called. All exact
@@ -80,42 +71,19 @@ struct ObjectiveKernelCaps {
 std::uint64_t fingerprint_mix(std::uint64_t hash, std::uint64_t value);
 std::uint64_t fingerprint_mix(std::uint64_t hash, double value);
 
-/// Per-subproblem stateful gain oracle for kernels without closed-form
-/// priority updates. One scorer serves one subproblem at a time; `reset`
-/// rebinds it. Not thread-safe — the round loops create one per partition
-/// task (or reuse one per worker).
-class SubproblemScorer {
- public:
-  virtual ~SubproblemScorer() = default;
-
-  /// Binds the scorer to a materialized subproblem and writes the initial
-  /// marginal gains (empty local selection, conditioned on the selected
-  /// points of `state` when given) into `sub.priorities`.
-  virtual void reset(Subproblem& sub, const SelectionState* state) = 0;
-
-  /// Marginal gain of selecting local id `v` given everything select()ed on
-  /// this scorer since the last reset.
-  virtual double gain(std::uint32_t v) const = 0;
-
-  /// Commits the selection of local id `v`.
-  virtual void select(std::uint32_t v) = 0;
-};
-
-/// Incremental, arena-backed kernel state — the devirtualized hot-path
-/// successor of SubproblemScorer. All per-element state (cover/residual
-/// masses, weights, gains) lives in flat SubproblemArena buffers reused
-/// across partitions and rounds, selections apply O(deg(selected)) delta
-/// updates, and gains_batch evaluates whole candidate runs behind ONE virtual
-/// call with tight flat loops inside (SIMD-friendly, no per-element
-/// dispatch). Implementations MUST mirror their SubproblemScorer's
-/// floating-point arithmetic operation-for-operation so the two paths pick
-/// identical subsets — the scorer stays as the equivalence oracle the parity
-/// suite holds this state against.
+/// Incremental, arena-backed kernel state — the partition gain engine of
+/// every kernel. All per-element state (cover/residual masses, weights,
+/// gains) lives in flat SubproblemArena buffers reused across partitions and
+/// rounds, selections apply O(deg(selected)) delta updates, and gains_batch
+/// evaluates whole candidate runs behind ONE virtual call with tight flat
+/// loops inside (SIMD-friendly, no per-element dispatch). gain() must agree
+/// with the kernel's exact marginal_gain on the subproblem's induced edges
+/// (up to floating-point reassociation), and every vectorized backend must
+/// reproduce the scalar backend bit-for-bit.
 ///
-/// Like the scorer: one state serves one subproblem at a time, `reset`
-/// rebinds it, and it is not thread-safe (one per arena, and arenas are
-/// checked out per worker). gains_batch is const and safe to call
-/// concurrently between mutations.
+/// One state serves one subproblem at a time, `reset` rebinds it, and it is
+/// not thread-safe (one per arena, and arenas are checked out per worker).
+/// gains_batch is const and safe to call concurrently between mutations.
 class KernelIncrementalState {
  public:
   virtual ~KernelIncrementalState() = default;
@@ -200,22 +168,10 @@ class ObjectiveKernel {
   /// kernel has tunable parameters.
   virtual std::uint64_t config_fingerprint() const noexcept { return 0; }
 
-  /// Fresh scorer for the lazy fallback path. Every kernel must provide one
-  /// (linear kernels included — tests use it to validate the lazy driver
-  /// against the closed-form path). With incremental state available this is
-  /// the *reference* implementation: the parity suite asserts the incremental
-  /// state reproduces it selection-for-selection.
-  virtual std::unique_ptr<SubproblemScorer> make_scorer() const = 0;
-
   /// Fresh incremental state whose flat buffers live in `arena` (reused
-  /// across every partition/round the arena serves), or nullptr when the
-  /// kernel only implements the scorer — solvers then fall back to the
-  /// per-candidate scorer path. Non-null iff caps().incremental_state.
+  /// across every partition/round the arena serves). Never null.
   virtual std::unique_ptr<KernelIncrementalState> make_incremental_state(
-      SubproblemArena& arena) const {
-    (void)arena;
-    return nullptr;
-  }
+      SubproblemArena& arena) const = 0;
 };
 
 /// The paper's pairwise objective as the first kernel: a thin adapter over
@@ -231,7 +187,6 @@ class PairwiseKernel final : public ObjectiveKernel {
   ObjectiveKernelCaps caps() const noexcept override {
     return {/*linear_priority_updates=*/true, /*utility_bounds=*/true,
             /*distributed_scoring=*/true, /*monotone=*/false,
-            /*incremental_state=*/true,
             /*simd_backend=*/simd::active_backend_name()};
   }
   const graph::GroundSet& ground_set() const noexcept override {
@@ -264,10 +219,8 @@ class PairwiseKernel final : public ObjectiveKernel {
 
   std::uint64_t config_fingerprint() const noexcept override;
 
-  std::unique_ptr<SubproblemScorer> make_scorer() const override;
-  /// Maintained pairwise gains as flat state. The round loops never use it
-  /// (pairwise_params() wins), but the parity suite and generic gain engines
-  /// do.
+  /// Maintained pairwise gains as flat state. The solvers never use it
+  /// (pairwise_params() wins); kernels wrapping pairwise can.
   std::unique_ptr<KernelIncrementalState> make_incremental_state(
       SubproblemArena& arena) const override;
 

@@ -177,6 +177,10 @@ ServeRequest parse_select(const Fields& fields) {
   request.machines = fields.get_size("machines").value_or(request.machines);
   request.rounds = fields.get_size("rounds").value_or(request.rounds);
   request.epsilon = fields.get_number("epsilon").value_or(request.epsilon);
+  // Negated comparison so NaN is rejected too.
+  if (!(request.epsilon > 0.0 && request.epsilon < 1.0)) {
+    fields.reject(Code::kBadField, "epsilon must be in (0, 1)");
+  }
   request.cost_budget = fields.get_number("cost_budget").value_or(0.0);
   if (request.cost_budget < 0.0 || !std::isfinite(request.cost_budget)) {
     fields.reject(Code::kBadField, "cost_budget must be a finite number >= 0");

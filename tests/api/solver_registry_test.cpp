@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,6 +80,31 @@ TEST(SolverRegistry, RejectsInvalidBudgets) {
   EXPECT_THROW(select(request), std::invalid_argument);
 }
 
+TEST(SolverRegistry, RejectsEpsilonOutsideOpenUnitInterval) {
+  // ε = 0 would hang threshold greedy and divide by log1p(0) in the sieve;
+  // ε <= 0 or >= 1 turns the stochastic sample size into inf. Every value
+  // outside (0, 1), NaN included, is refused before any solver runs.
+  const Instance instance = random_instance(50, 4, 7003);
+  const auto ground_set = instance.ground_set();
+  for (const std::string solver :
+       {"stochastic-greedy", "threshold-greedy", "sieve-streaming"}) {
+    for (const double epsilon :
+         {0.0, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+      SelectionRequest request;
+      request.ground_set = &ground_set;
+      request.k = 5;
+      request.solver = solver;
+      if (solver == "stochastic-greedy") {
+        request.distributed.stochastic_epsilon = epsilon;
+      } else {
+        request.streaming.epsilon = epsilon;
+      }
+      EXPECT_THROW(select(request), std::invalid_argument)
+          << solver << " epsilon=" << epsilon;
+    }
+  }
+}
+
 /// Conformance suite: parameterized over every registered solver name.
 class SolverConformance : public ::testing::TestWithParam<std::string> {};
 
@@ -126,7 +153,7 @@ TEST_P(SolverConformance, ReturnsValidAscendingSubsetWithExactObjective) {
     }
 
     // The report's objective must equal a fresh exact evaluation of the
-    // returned subset — never the solver's internal accounting.
+    // returned subset — never a solver's gain accounting.
     core::PairwiseObjective objective(ground_set, request.objective);
     const double fresh = objective.evaluate(report.selected);
     EXPECT_NEAR(report.objective, fresh, 1e-9 * (1.0 + std::abs(fresh)))

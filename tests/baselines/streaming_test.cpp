@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "../testing/test_instances.h"
@@ -23,6 +24,27 @@ void expect_valid_subset(const std::vector<NodeId>& selected, std::size_t k,
   std::set<NodeId> unique(selected.begin(), selected.end());
   EXPECT_EQ(unique.size(), selected.size());
   for (NodeId v : selected) EXPECT_LT(static_cast<std::size_t>(v), n);
+}
+
+TEST(EpsilonGuards, EveryEpsilonSolverRejectsValuesOutsideTheOpenUnitInterval) {
+  // Called directly (not through the registry), the solvers still refuse an
+  // ε that would hang threshold greedy, divide by log1p(0) in the sieve, or
+  // cast an infinite sample size in stochastic greedy.
+  const Instance instance = random_instance(30, 3, 806);
+  const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  for (const double epsilon :
+       {0.0, 1.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(threshold_greedy(kernel, 5, epsilon), std::invalid_argument)
+        << epsilon;
+    EXPECT_THROW(stochastic_greedy(kernel, 5, epsilon), std::invalid_argument)
+        << epsilon;
+    SieveStreamingConfig config;
+    config.kernel = &kernel;
+    config.epsilon = epsilon;
+    EXPECT_THROW(sieve_streaming(ground_set, 5, config), std::invalid_argument)
+        << epsilon;
+  }
 }
 
 // --- threshold greedy ------------------------------------------------------

@@ -150,8 +150,10 @@ TEST(ExactBounding, GreedyCompletionIsAtLeastAsGoodAsPlainGreedy) {
     const auto bounding = bound(ground_set, k, config);
 
     std::vector<NodeId> members = bounding.state.unassigned_ids();
-    auto sub = materialize_subproblem(ground_set, members, params, &bounding.state);
-    auto completion = greedy_on_subproblem(sub, bounding.k_remaining, params);
+    SubproblemArena arena;
+    const Subproblem& sub =
+        materialize_subproblem(ground_set, members, params, &bounding.state, arena);
+    auto completion = greedy_on_subproblem(sub, bounding.k_remaining, params, arena);
     std::vector<NodeId> full = bounding.state.selected_ids();
     full.insert(full.end(), completion.selected.begin(), completion.selected.end());
 

@@ -184,7 +184,7 @@ std::optional<std::string> constrained_solve_property(std::uint64_t seed,
   SubproblemArena arena;
   const GreedyResult result = solve_partition(
       ground_set, members, k, kernel, nullptr, arena, solver, 0.1, seed,
-      nullptr, nullptr, GainEngine::kAuto, &constraints);
+      nullptr, nullptr, &constraints);
 
   std::vector<NodeId> sorted = result.selected;
   std::sort(sorted.begin(), sorted.end());
@@ -272,7 +272,7 @@ TEST(ConstrainedGreedyConformance, NonBindingConstraintsAreBitIdentical) {
         const GreedyResult constrained = solve_partition(
             ground_set, members, k, kernel, nullptr, arena_b,
             PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            GainEngine::kAuto, &loose);
+            &loose);
         if (constrained.selected != unconstrained.selected) {
           return "selections differ under non-binding constraints";
         }
@@ -299,7 +299,7 @@ TEST(ConstrainedGreedyConformance, BlockedOnlyConstraintsExcludeExactlyBlocked) 
   const GreedyResult result = solve_partition(
       ground_set, members, 10, kernel, nullptr, arena,
       PartitionSolver::kPriorityQueue, 0.1, 1, nullptr, nullptr,
-      GainEngine::kAuto, &constraints);
+      &constraints);
   EXPECT_EQ(result.selected.size(), 10u);  // plenty of unblocked candidates
   for (const NodeId v : result.selected) {
     EXPECT_FALSE(std::binary_search(constraints.blocked.begin(),

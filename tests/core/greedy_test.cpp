@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -13,6 +14,68 @@ namespace {
 using testing::Instance;
 using testing::brute_force_optimum;
 using testing::random_instance;
+
+/// The induced subproblem spelled out from its definition (Section 4.4):
+/// sorted member ids, member-to-member edges in neighbor-list order, and
+/// utilities conditioned on `state`'s selected points. The bitwise reference
+/// for materialize_subproblem's CSR.
+Subproblem expected_subproblem(const graph::GroundSet& ground_set,
+                               std::vector<NodeId> members, ObjectiveParams params,
+                               const SelectionState* state = nullptr) {
+  std::sort(members.begin(), members.end());
+  Subproblem sub;
+  sub.global_ids = members;
+  sub.offsets.push_back(0);
+  std::vector<graph::Edge> scratch;
+  for (const NodeId v : members) {
+    double priority = ground_set.utility(v);
+    ground_set.neighbors(v, scratch);
+    for (const graph::Edge& e : scratch) {
+      if (state != nullptr && state->is_selected(e.neighbor)) {
+        priority -= params.pair_scale() * e.weight;
+        continue;
+      }
+      const auto it = std::lower_bound(members.begin(), members.end(), e.neighbor);
+      if (it != members.end() && *it == e.neighbor) {
+        sub.edges.push_back(Subproblem::LocalEdge{
+            static_cast<std::uint32_t>(it - members.begin()), e.weight});
+      }
+    }
+    sub.priorities.push_back(priority);
+    sub.offsets.push_back(static_cast<std::int64_t>(sub.edges.size()));
+  }
+  return sub;
+}
+
+void expect_same_subproblem(const Subproblem& got, const Subproblem& want) {
+  EXPECT_EQ(got.global_ids, want.global_ids);
+  EXPECT_EQ(got.priorities, want.priorities);
+  EXPECT_EQ(got.offsets, want.offsets);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t e = 0; e < want.edges.size(); ++e) {
+    EXPECT_EQ(got.edges[e].neighbor, want.edges[e].neighbor);
+    EXPECT_EQ(got.edges[e].weight, want.edges[e].weight);
+  }
+}
+
+/// Algorithm 2 on the subproblem's induced graph with its (conditioned)
+/// priorities as utilities, via centralized_greedy, mapped back to global
+/// ids: the reference for greedy_on_subproblem on partial subproblems.
+GreedyResult centralized_on_subproblem(const Subproblem& sub, std::size_t k,
+                                       ObjectiveParams params) {
+  std::vector<graph::NeighborList> lists(sub.size());
+  for (std::size_t i = 0; i < sub.size(); ++i) {
+    for (auto e = sub.offsets[i]; e < sub.offsets[i + 1]; ++e) {
+      const auto& edge = sub.edges[static_cast<std::size_t>(e)];
+      lists[i].edges.push_back(
+          graph::Edge{static_cast<NodeId>(edge.neighbor), edge.weight});
+    }
+  }
+  GreedyResult result = centralized_greedy(graph::SimilarityGraph::from_lists(lists),
+                                           sub.priorities, params, k);
+  for (NodeId& v : result.selected) v = sub.global_ids[static_cast<std::size_t>(v)];
+  return result;
+}
 
 TEST(CentralizedGreedy, PicksHighestUtilityWithoutEdges) {
   // No edges: greedy = top-k utilities.
@@ -112,8 +175,10 @@ TEST(Subproblem, MaterializationKeepsOnlyIntraSubsetEdges) {
   instance.utilities = {1.0, 1.0, 1.0, 1.0};
   const auto ground_set = instance.ground_set();
 
-  const auto sub = materialize_subproblem(ground_set, {3, 0, 2},
-                                          ObjectiveParams{0.9, 0.1});
+  SubproblemArena arena;
+  const std::vector<NodeId> members{3, 0, 2};
+  const Subproblem& sub = materialize_subproblem(
+      ground_set, members, ObjectiveParams{0.9, 0.1}, nullptr, arena);
   EXPECT_EQ(sub.global_ids, (std::vector<NodeId>{0, 2, 3}));
   EXPECT_EQ(sub.edges.size(), 2u);  // 2->3 and 3->2 in local ids
   const auto neighbors_of_local_1 =
@@ -134,19 +199,14 @@ TEST(Subproblem, ConditioningSubtractsSelectedNeighborEdges) {
   SelectionState state(3);
   state.select(1);
   const ObjectiveParams params{0.5, 0.5};
-  const auto sub = materialize_subproblem(ground_set, {0, 2}, params, &state);
+  SubproblemArena arena;
+  const std::vector<NodeId> members{0, 2};
+  const Subproblem& sub =
+      materialize_subproblem(ground_set, members, params, &state, arena);
   // Global 0 has selected neighbor 1: priority = 1.0 - 1.0*0.8.
   EXPECT_NEAR(sub.priorities[0], 1.0 - 0.8, 1e-6);
   EXPECT_NEAR(sub.priorities[1], 1.0, 1e-12);
   EXPECT_TRUE(sub.edges.empty());
-}
-
-TEST(Subproblem, RejectsDuplicates) {
-  const Instance instance = random_instance(5, 2, 71);
-  const auto ground_set = instance.ground_set();
-  EXPECT_THROW(
-      materialize_subproblem(ground_set, {1, 1}, ObjectiveParams{0.9, 0.1}),
-      std::invalid_argument);
 }
 
 TEST(Subproblem, GreedyOnFullSubproblemMatchesCentralized) {
@@ -155,29 +215,37 @@ TEST(Subproblem, GreedyOnFullSubproblemMatchesCentralized) {
   const ObjectiveParams params{0.9, 0.1};
   std::vector<NodeId> all(50);
   for (std::size_t i = 0; i < 50; ++i) all[i] = static_cast<NodeId>(i);
-  const auto sub = materialize_subproblem(ground_set, all, params);
-  const auto via_subproblem = greedy_on_subproblem(sub, 20, params);
+  SubproblemArena arena;
+  const Subproblem& sub =
+      materialize_subproblem(ground_set, all, params, nullptr, arena);
+  const auto via_subproblem = greedy_on_subproblem(sub, 20, params, arena);
   const auto direct = centralized_greedy(instance.graph, instance.utilities, params, 20);
   EXPECT_EQ(via_subproblem.selected, direct.selected);
-  EXPECT_NEAR(via_subproblem.objective, direct.objective, 1e-9);
+  EXPECT_EQ(via_subproblem.objective, direct.objective);
+  const auto naive = naive_greedy(ground_set, params, 20);
+  EXPECT_EQ(via_subproblem.selected, naive.selected);
+  EXPECT_NEAR(via_subproblem.objective, naive.objective, 1e-9);
 }
 
 TEST(Subproblem, GreedyCapsAtSubproblemSize) {
   const Instance instance = random_instance(10, 2, 73);
   const auto ground_set = instance.ground_set();
   const ObjectiveParams params{0.9, 0.1};
-  const auto sub = materialize_subproblem(ground_set, {1, 4, 7}, params);
-  const auto result = greedy_on_subproblem(sub, 10, params);
+  SubproblemArena arena;
+  const std::vector<NodeId> members{1, 4, 7};
+  const Subproblem& sub =
+      materialize_subproblem(ground_set, members, params, nullptr, arena);
+  const auto result = greedy_on_subproblem(sub, 10, params, arena);
   EXPECT_EQ(result.selected.size(), 3u);
 }
 
-/// The zero-copy/arena fast path (scatter-map membership, reused storage,
-/// batched heap updates) must reproduce the seed implementation exactly:
-/// identical subsets in identical order, identical objectives, identical
-/// materialized CSR.
+/// The zero-copy/arena path (scatter-map membership, reused storage, fused
+/// heap updates) must materialize exactly the induced subproblem and pick
+/// exactly what Algorithm 2 picks on it: identical subsets in identical
+/// order, identical objectives, identical CSR.
 class ArenaEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ArenaEquivalenceTest, ArenaPathMatchesSeedReference) {
+TEST_P(ArenaEquivalenceTest, ArenaPathMatchesInducedSubproblem) {
   Rng rng(GetParam());
   const Instance instance = random_instance(80, 5, GetParam());
   const auto ground_set = instance.ground_set();
@@ -195,29 +263,20 @@ TEST_P(ArenaEquivalenceTest, ArenaPathMatchesSeedReference) {
       if (members.empty()) members.push_back(static_cast<NodeId>(trial));
       const std::size_t k = 1 + rng.uniform_index(members.size());
 
-      const auto seed_sub =
-          reference::materialize_subproblem(ground_set, members, params);
       const Subproblem& arena_sub =
           materialize_subproblem(ground_set, members, params, nullptr, arena);
-      EXPECT_EQ(arena_sub.global_ids, seed_sub.global_ids);
-      EXPECT_EQ(arena_sub.priorities, seed_sub.priorities);
-      EXPECT_EQ(arena_sub.offsets, seed_sub.offsets);
-      ASSERT_EQ(arena_sub.edges.size(), seed_sub.edges.size());
-      for (std::size_t e = 0; e < seed_sub.edges.size(); ++e) {
-        EXPECT_EQ(arena_sub.edges[e].neighbor, seed_sub.edges[e].neighbor);
-        EXPECT_EQ(arena_sub.edges[e].weight, seed_sub.edges[e].weight);
-      }
+      expect_same_subproblem(arena_sub,
+                             expected_subproblem(ground_set, members, params));
 
-      const auto seed_result =
-          reference::greedy_on_subproblem(seed_sub, k, params);
+      const auto reference = centralized_on_subproblem(arena_sub, k, params);
       const auto arena_result = greedy_on_subproblem(arena_sub, k, params, arena);
-      EXPECT_EQ(arena_result.selected, seed_result.selected);
-      EXPECT_EQ(arena_result.objective, seed_result.objective);
+      EXPECT_EQ(arena_result.selected, reference.selected);
+      EXPECT_EQ(arena_result.objective, reference.objective);
     }
   }
 }
 
-TEST_P(ArenaEquivalenceTest, ArenaPathMatchesSeedReferenceWithConditioning) {
+TEST_P(ArenaEquivalenceTest, ArenaPathMatchesInducedSubproblemWithConditioning) {
   const Instance instance = random_instance(60, 4, GetParam());
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.5);
@@ -235,34 +294,20 @@ TEST_P(ArenaEquivalenceTest, ArenaPathMatchesSeedReferenceWithConditioning) {
   if (members.empty()) GTEST_SKIP();
 
   SubproblemArena arena;
-  const auto seed_sub =
-      reference::materialize_subproblem(ground_set, members, params, &state);
   const Subproblem& arena_sub =
       materialize_subproblem(ground_set, members, params, &state, arena);
-  EXPECT_EQ(arena_sub.global_ids, seed_sub.global_ids);
-  EXPECT_EQ(arena_sub.priorities, seed_sub.priorities);
+  expect_same_subproblem(arena_sub,
+                         expected_subproblem(ground_set, members, params, &state));
 
   const std::size_t k = (members.size() + 1) / 2;
-  const auto seed_result = reference::greedy_on_subproblem(seed_sub, k, params);
+  const auto reference = centralized_on_subproblem(arena_sub, k, params);
   const auto arena_result = greedy_on_subproblem(arena_sub, k, params, arena);
-  EXPECT_EQ(arena_result.selected, seed_result.selected);
-  EXPECT_EQ(arena_result.objective, seed_result.objective);
+  EXPECT_EQ(arena_result.selected, reference.selected);
+  EXPECT_EQ(arena_result.objective, reference.objective);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ArenaEquivalenceTest,
                          ::testing::Values(81, 82, 83, 84, 85, 86, 87, 88));
-
-TEST(SubproblemArena, ByValueOverloadMatchesSeedReference) {
-  const Instance instance = random_instance(40, 4, 91);
-  const auto ground_set = instance.ground_set();
-  const ObjectiveParams params{0.9, 0.1};
-  const std::vector<NodeId> members{7, 3, 21, 14, 30, 2};
-  const auto legacy = materialize_subproblem(ground_set, members, params);
-  const auto seed = reference::materialize_subproblem(ground_set, members, params);
-  EXPECT_EQ(legacy.global_ids, seed.global_ids);
-  EXPECT_EQ(legacy.priorities, seed.priorities);
-  EXPECT_EQ(legacy.offsets, seed.offsets);
-}
 
 TEST(SubproblemArena, RejectsDuplicates) {
   const Instance instance = random_instance(5, 2, 92);
@@ -299,16 +344,17 @@ TEST(SubproblemArena, BinarySearchFallbackBeyondDenseLimit) {
   std::vector<NodeId> members;
   for (NodeId v = 0; v < 50; v += 2) members.push_back(v);
 
+  SubproblemArena dense_arena;
+  const Subproblem& dense =
+      materialize_subproblem(ground_set, members, params, nullptr, dense_arena);
+  const auto dense_result = greedy_on_subproblem(dense, 10, params, dense_arena);
+
   SubproblemArena arena;
-  const auto seed = reference::materialize_subproblem(ground_set, members, params);
   const Subproblem& fallback =
       materialize_subproblem(huge, members, params, nullptr, arena);
-  EXPECT_EQ(fallback.global_ids, seed.global_ids);
-  EXPECT_EQ(fallback.priorities, seed.priorities);
-  EXPECT_EQ(fallback.offsets, seed.offsets);
-  const auto seed_result = reference::greedy_on_subproblem(seed, 10, params);
+  expect_same_subproblem(fallback, expected_subproblem(ground_set, members, params));
   const auto fallback_result = greedy_on_subproblem(fallback, 10, params, arena);
-  EXPECT_EQ(fallback_result.selected, seed_result.selected);
+  EXPECT_EQ(fallback_result.selected, dense_result.selected);
 }
 
 TEST(NaiveGreedy, EmptyBudget) {

@@ -1,8 +1,8 @@
 // The ObjectiveKernel seam: pairwise-kernel bit-equivalence against the
-// pre-kernel path (core::reference:: and the ObjectiveParams round loops),
-// the lazy scorer driver against closed-form Algorithm 2, and the new
-// kernels (facility location, saturated coverage) against brute-force
-// marginal-gain greedy.
+// ObjectiveParams round loops, the incremental-state
+// drivers against closed-form Algorithm 2, and the coverage-family kernels
+// (facility location, saturated coverage) against brute-force marginal-gain
+// greedy.
 #include "core/objective_kernel.h"
 
 #include <gtest/gtest.h>
@@ -52,37 +52,6 @@ TEST(ObjectiveParamsValidation, PairwiseObjectiveFailsFastOnAlphaZero) {
   config.num_machines = 2;
   config.num_rounds = 1;
   EXPECT_THROW(distributed_greedy(ground_set, 5, config), std::invalid_argument);
-}
-
-TEST(PairwiseKernelEquivalence, SolvePartitionMatchesReferenceBitForBit) {
-  const auto params = ObjectiveParams::from_alpha(0.9);
-  for (std::uint64_t seed : {9101ULL, 9102ULL, 9103ULL}) {
-    const Instance instance = random_instance(220, 6, seed);
-    const auto ground_set = instance.ground_set();
-    const PairwiseKernel kernel(ground_set, params);
-
-    // Arbitrary member subset (every third point).
-    std::vector<NodeId> members;
-    for (std::size_t i = 0; i < 220; i += 3) {
-      members.push_back(static_cast<NodeId>(i));
-    }
-    const std::size_t k = members.size() / 2;
-
-    const Subproblem reference_sub =
-        reference::materialize_subproblem(ground_set, members, params);
-    const GreedyResult expected =
-        reference::greedy_on_subproblem(reference_sub, k, params);
-
-    SubproblemArena arena;
-    std::size_t bytes = 0;
-    const GreedyResult actual = solve_partition(
-        ground_set, members, k, kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, seed, &bytes);
-
-    EXPECT_EQ(actual.selected, expected.selected);
-    EXPECT_EQ(actual.objective, expected.objective);  // bit-identical
-    EXPECT_EQ(bytes, reference_sub.byte_size());
-  }
 }
 
 TEST(PairwiseKernelEquivalence, DistributedGreedyWithKernelIsBitIdentical) {
@@ -136,11 +105,11 @@ TEST(PairwiseKernelEquivalence, StochasticPartitionSolverIsBitIdentical) {
   EXPECT_EQ(actual.objective, expected.objective);
 }
 
-TEST(LazyScorerDriver, MatchesClosedFormAlgorithmTwoOnPairwise) {
-  // The generic lazy driver fed by the pairwise scorer must select exactly
-  // what the closed-form decrease-key path selects (gains differ only by the
-  // α·(u − (β/α)Σ) vs α·u − β·Σ association, which cannot reorder them on
-  // these random instances).
+TEST(PairwiseIncrementalState, LazyDriverMatchesClosedFormAlgorithmTwo) {
+  // The generic lazy driver fed by the pairwise incremental state must select
+  // exactly what the closed-form decrease-key path selects (gains differ only
+  // by the α·(u − (β/α)Σ) vs α·u − β·Σ association, which cannot reorder
+  // them on these random instances).
   const auto params = ObjectiveParams::from_alpha(0.7);
   for (std::uint64_t seed : {9301ULL, 9302ULL}) {
     const Instance instance = random_instance(150, 6, seed);
@@ -162,17 +131,18 @@ TEST(LazyScorerDriver, MatchesClosedFormAlgorithmTwoOnPairwise) {
     SubproblemArena lazy_arena;
     Subproblem& lazy_sub =
         materialize_subproblem_topology(ground_set, members, lazy_arena);
-    const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-    scorer->reset(lazy_sub, nullptr);
+    const std::unique_ptr<KernelIncrementalState> state =
+        kernel.make_incremental_state(lazy_arena);
+    state->reset(lazy_sub, nullptr);
     const GreedyResult lazy =
-        lazy_greedy_on_subproblem(lazy_sub, k, *scorer, lazy_arena);
+        incremental_greedy_on_subproblem(lazy_sub, k, *state, lazy_arena);
 
     EXPECT_EQ(lazy.selected, closed.selected);
     EXPECT_NEAR(lazy.objective, closed.objective, 1e-9);
   }
 }
 
-TEST(LazyScorerDriver, ConditionsOnPreselectedState) {
+TEST(PairwiseIncrementalState, ConditionsOnPreselectedState) {
   const Instance instance = random_instance(80, 6, 9400);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.6);
@@ -195,10 +165,11 @@ TEST(LazyScorerDriver, ConditionsOnPreselectedState) {
   SubproblemArena lazy_arena;
   Subproblem& lazy_sub =
       materialize_subproblem_topology(ground_set, members, lazy_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(lazy_sub, &state);
-  const GreedyResult lazy = lazy_greedy_on_subproblem(lazy_sub, k, *scorer,
-                                                      lazy_arena);
+  const std::unique_ptr<KernelIncrementalState> incremental =
+      kernel.make_incremental_state(lazy_arena);
+  incremental->reset(lazy_sub, &state);
+  const GreedyResult lazy =
+      incremental_greedy_on_subproblem(lazy_sub, k, *incremental, lazy_arena);
   EXPECT_EQ(lazy.selected, closed.selected);
 }
 
@@ -254,11 +225,11 @@ TEST(SaturatedCoverageKernel, RejectsInvalidParams) {
   EXPECT_THROW(SaturatedCoverageKernel(ground_set, params), std::invalid_argument);
 }
 
-TEST(StochasticScorerDriver, MatchesPairwiseStochasticSelections) {
-  // The scorer-based stochastic driver draws the exact same Rng stream as
-  // the pairwise-priorities overload, so with a pairwise scorer (whose gains
-  // are a positive rescaling of the maintained priorities) the selected
-  // sequences must coincide.
+TEST(StochasticIncrementalDriver, MatchesPairwiseStochasticSelections) {
+  // The incremental-state stochastic driver draws the exact same Rng stream
+  // as the pairwise-priorities overload, so with the pairwise state (whose
+  // gains are a positive rescaling of the maintained priorities) the
+  // selected sequences must coincide.
   const Instance instance = random_instance(160, 6, 9700);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.85);
@@ -274,19 +245,20 @@ TEST(StochasticScorerDriver, MatchesPairwiseStochasticSelections) {
   const GreedyResult expected =
       stochastic_greedy_on_subproblem(sub, 25, params, 0.2, 555);
 
-  SubproblemArena scorer_arena;
-  Subproblem& scorer_sub =
-      materialize_subproblem_topology(ground_set, members, scorer_arena);
-  const std::unique_ptr<SubproblemScorer> scorer = kernel.make_scorer();
-  scorer->reset(scorer_sub, nullptr);
-  const GreedyResult actual =
-      stochastic_greedy_on_subproblem(scorer_sub, 25, *scorer, 0.2, 555);
+  SubproblemArena state_arena;
+  Subproblem& state_sub =
+      materialize_subproblem_topology(ground_set, members, state_arena);
+  const std::unique_ptr<KernelIncrementalState> state =
+      kernel.make_incremental_state(state_arena);
+  state->reset(state_sub, nullptr, /*init_priorities=*/false);
+  const GreedyResult actual = stochastic_greedy_on_subproblem(
+      state_sub, 25, *state, 0.2, 555, state_arena);
 
   EXPECT_EQ(actual.selected, expected.selected);
   EXPECT_NEAR(actual.objective, expected.objective, 1e-9);
 }
 
-TEST(StochasticScorerDriver, NewKernelsRunThroughStochasticPartitions) {
+TEST(StochasticIncrementalDriver, NewKernelsRunThroughStochasticPartitions) {
   const Instance instance = random_instance(250, 5, 9710);
   const auto ground_set = instance.ground_set();
   const FacilityLocationKernel fl(ground_set, {});

@@ -44,7 +44,7 @@ GreedyResult solve_all(const graph::GroundSet& ground_set,
   return solve_partition(ground_set, all_ids(ground_set.num_points()), k,
                          kernel, nullptr, arena,
                          PartitionSolver::kPriorityQueue, 0.1, 1, nullptr,
-                         nullptr, GainEngine::kAuto, constraints);
+                         nullptr, constraints);
 }
 
 TEST(RepairSelection, UnmutatedUnconstrainedRepairIsAFixpoint) {

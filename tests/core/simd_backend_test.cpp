@@ -2,8 +2,8 @@
 // whatever the host supports) must produce BIT-IDENTICAL gains, selections,
 // and objectives to the portable scalar backend — the whole design contract
 // of core/kernel_simd.h (lane-split accumulation, premultiplied/residual
-// state spaces shared by every backend). Covers the forcing seams
-// (ScopedBackendOverride, GainEngine::kIncrementalScalar), the raw kernel
+// state spaces shared by every backend). Covers the forcing seam
+// (ScopedBackendOverride around a whole solve or one state), the raw kernel
 // primitives across awkward lengths, and the adversarial shapes the ISSUE
 // calls out: degrees below the vector width, empty subproblems, and
 // duplicate/tied gains.
@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../testing/constraint_oracle.h"
@@ -139,6 +140,15 @@ struct KernelSet {
   }
 };
 
+/// solve_partition with every incremental state pinned to the portable
+/// scalar backend: states bind the backend active at construction, so the
+/// override spans the whole solve.
+template <typename... Args>
+GreedyResult solve_partition_scalar(Args&&... args) {
+  simd::ScopedBackendOverride force_scalar(simd::Backend::kScalar);
+  return solve_partition(std::forward<Args>(args)...);
+}
+
 void expect_backends_agree(const graph::GroundSet& ground_set,
                            std::span<const NodeId> members, std::size_t k,
                            std::uint64_t seed) {
@@ -147,13 +157,11 @@ void expect_backends_agree(const graph::GroundSet& ground_set,
     SubproblemArena native_arena;
     const GreedyResult native = solve_partition(
         ground_set, members, k, *kernel, nullptr, native_arena,
-        PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-        GainEngine::kAuto);
+        PartitionSolver::kPriorityQueue, 0.1, seed);
     SubproblemArena scalar_arena;
-    const GreedyResult scalar = solve_partition(
+    const GreedyResult scalar = solve_partition_scalar(
         ground_set, members, k, *kernel, nullptr, scalar_arena,
-        PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-        GainEngine::kIncrementalScalar);
+        PartitionSolver::kPriorityQueue, 0.1, seed);
     EXPECT_EQ(native.selected, scalar.selected) << kernel->name();
     EXPECT_EQ(native.objective, scalar.objective) << kernel->name();
 
@@ -161,13 +169,11 @@ void expect_backends_agree(const graph::GroundSet& ground_set,
     SubproblemArena native_stoch;
     const GreedyResult native_s = solve_partition(
         ground_set, members, k, *kernel, nullptr, native_stoch,
-        PartitionSolver::kStochastic, 0.2, seed, nullptr, nullptr,
-        GainEngine::kAuto);
+        PartitionSolver::kStochastic, 0.2, seed);
     SubproblemArena scalar_stoch;
-    const GreedyResult scalar_s = solve_partition(
+    const GreedyResult scalar_s = solve_partition_scalar(
         ground_set, members, k, *kernel, nullptr, scalar_stoch,
-        PartitionSolver::kStochastic, 0.2, seed, nullptr, nullptr,
-        GainEngine::kIncrementalScalar);
+        PartitionSolver::kStochastic, 0.2, seed);
     EXPECT_EQ(native_s.selected, scalar_s.selected) << kernel->name();
     EXPECT_EQ(native_s.objective, scalar_s.objective) << kernel->name();
   }
@@ -203,17 +209,15 @@ TEST(SimdSolveParity, EmptyAndDegenerateSubproblems) {
   const KernelSet kernels(ground_set);
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena arena;
-    const GreedyResult empty = solve_partition(
+    const GreedyResult empty = solve_partition_scalar(
         ground_set, std::span<const NodeId>{}, 5, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1, nullptr, nullptr,
-        GainEngine::kIncrementalScalar);
+        PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_TRUE(empty.selected.empty()) << kernel->name();
 
     const std::vector<NodeId> one = {7};
-    const GreedyResult single = solve_partition(
+    const GreedyResult single = solve_partition_scalar(
         ground_set, one, 3, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1, nullptr, nullptr,
-        GainEngine::kIncrementalScalar);
+        PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_EQ(single.selected, one) << kernel->name();
   }
 }
@@ -326,11 +330,11 @@ TEST(SimdSolveParity, RandomizedPairwiseScalarVsNativeBitIdentity) {
           SubproblemArena native_arena;
           const GreedyResult native = solve_partition(
               ground_set, members, k, kernel, nullptr, native_arena, solver,
-              0.2, seed, nullptr, nullptr, GainEngine::kAuto);
+              0.2, seed);
           SubproblemArena scalar_arena;
-          const GreedyResult scalar = solve_partition(
+          const GreedyResult scalar = solve_partition_scalar(
               ground_set, members, k, kernel, nullptr, scalar_arena, solver,
-              0.2, seed, nullptr, nullptr, GainEngine::kIncrementalScalar);
+              0.2, seed);
           if (native.selected != scalar.selected) {
             return "selections diverged (solver "
                    + std::to_string(static_cast<int>(solver)) + ")";
@@ -367,12 +371,12 @@ TEST(SimdSolveParity, RandomizedConstrainedSolvesStayBitIdentical) {
         const GreedyResult native = solve_partition(
             ground_set, members, k, kernel, nullptr, native_arena,
             PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            GainEngine::kAuto, &constraints);
+            &constraints);
         SubproblemArena scalar_arena;
-        const GreedyResult scalar = solve_partition(
+        const GreedyResult scalar = solve_partition_scalar(
             ground_set, members, k, kernel, nullptr, scalar_arena,
             PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            GainEngine::kIncrementalScalar, &constraints);
+            &constraints);
         if (native.selected != scalar.selected) return "selections diverged";
         if (native.objective != scalar.objective) return "objectives diverged";
         return std::nullopt;

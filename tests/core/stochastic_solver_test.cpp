@@ -3,6 +3,7 @@
 // materialized subproblems, standalone and inside the distributed drivers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "../testing/test_instances.h"
@@ -19,7 +20,8 @@ Subproblem full_subproblem(const Instance& instance, ObjectiveParams params) {
   const auto ground_set = instance.ground_set();
   std::vector<NodeId> all(instance.utilities.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<NodeId>(i);
-  return materialize_subproblem(ground_set, std::move(all), params);
+  SubproblemArena arena;
+  return materialize_subproblem(ground_set, all, params, nullptr, arena);
 }
 
 TEST(StochasticSubproblemSolver, SelectsKUniqueIds) {
@@ -38,7 +40,8 @@ TEST(StochasticSubproblemSolver, FullSampleMatchesExactGreedy) {
   const Instance instance = random_instance(80, 4, 952);
   const auto params = ObjectiveParams::from_alpha(0.9);
   const Subproblem sub = full_subproblem(instance, params);
-  const auto exact = greedy_on_subproblem(sub, 12, params);
+  SubproblemArena arena;
+  const auto exact = greedy_on_subproblem(sub, 12, params, arena);
   const auto stochastic =
       stochastic_greedy_on_subproblem(sub, 12, params, 1e-9, 3);
   EXPECT_EQ(stochastic.selected, exact.selected);
@@ -49,7 +52,8 @@ TEST(StochasticSubproblemSolver, QualityNearExactOnAverage) {
   const Instance instance = random_instance(500, 5, 953);
   const auto params = ObjectiveParams::from_alpha(0.9);
   const Subproblem sub = full_subproblem(instance, params);
-  const double exact = greedy_on_subproblem(sub, 50, params).objective;
+  SubproblemArena arena;
+  const double exact = greedy_on_subproblem(sub, 50, params, arena).objective;
   double stochastic_total = 0.0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     stochastic_total +=
@@ -75,6 +79,10 @@ TEST(StochasticSubproblemSolver, RejectsBadEpsilon) {
   EXPECT_THROW(stochastic_greedy_on_subproblem(sub, 5, params, 0.0, 1),
                std::invalid_argument);
   EXPECT_THROW(stochastic_greedy_on_subproblem(sub, 5, params, 1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(stochastic_greedy_on_subproblem(sub, 5, params, -0.5, 1),
+               std::invalid_argument);
+  EXPECT_THROW(stochastic_greedy_on_subproblem(sub, 5, params, std::nan(""), 1),
                std::invalid_argument);
 }
 

@@ -64,4 +64,25 @@ if(at EQUAL -1)
   message(FATAL_ERROR "corrupt-graph failure lacks a clear message: ${corrupt_err}")
 endif()
 
-message(STATUS "golden out-of-core fixture: selections identical, corrupt file rejected")
+# A flag the subcommand never reads — here the retired --engine spelling —
+# must be a usage error (exit 1) naming the flag, never a silent run with
+# defaults.
+execute_process(
+  COMMAND "${SUBSEL_CLI}" select "--data=${GOLDEN_DIR}/toy600" --k=60
+          --engine=dataflow "--out=${WORK_DIR}/unused_flag.ids"
+  RESULT_VARIABLE unused_code
+  OUTPUT_VARIABLE unused_out
+  ERROR_VARIABLE unused_err)
+if(NOT unused_code EQUAL 1)
+  message(FATAL_ERROR "select --engine=dataflow exited ${unused_code}, not 1:\n${unused_err}")
+endif()
+string(FIND "${unused_err}" "--engine=dataflow is not used by `subsel select`" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "unused-flag failure does not name the flag: ${unused_err}")
+endif()
+if(EXISTS "${WORK_DIR}/unused_flag.ids")
+  message(FATAL_ERROR "select ran despite an unused flag")
+endif()
+
+message(STATUS "golden out-of-core fixture: selections identical, corrupt file"
+               " and unused flag rejected")

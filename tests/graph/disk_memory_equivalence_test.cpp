@@ -14,7 +14,6 @@
 #include "api/objective_registry.h"
 #include "api/solver_registry.h"
 #include "graph/disk_ground_set.h"
-#include "graph/reference_disk_ground_set.h"
 
 namespace subsel::graph {
 namespace {
@@ -154,9 +153,9 @@ TEST_F(DiskMemoryEquivalenceTest, MultipleSeededGraphsUnderForcedEviction) {
   }
 }
 
-TEST_F(DiskMemoryEquivalenceTest, ShardedEngineMatchesSeedReferenceEngine) {
-  // The sharded engine vs the seed single-mutex engine, edge for edge:
-  // graph::reference::MutexDiskGroundSet is the kept-verbatim oracle.
+TEST_F(DiskMemoryEquivalenceTest, ShardedEngineMatchesInMemoryGraphEdgeForEdge) {
+  // The sharded engine vs the in-memory SimilarityGraph it was saved from,
+  // edge for edge, through both read paths, under a budget that evicts.
   const Instance instance = random_instance(300, 6, 904);
   const std::string graph_path = (dir_ / "reference.graph").string();
   instance.graph.save(graph_path);
@@ -166,23 +165,21 @@ TEST_F(DiskMemoryEquivalenceTest, ShardedEngineMatchesSeedReferenceEngine) {
   cache.max_cached_blocks = 6;
   cache.num_shards = 4;
   const DiskGroundSet sharded(graph_path, instance.utilities, cache);
-  reference::MutexDiskGroundSetConfig legacy_cache;
-  legacy_cache.block_edges = 128;
-  legacy_cache.max_cached_blocks = 6;
-  const reference::MutexDiskGroundSet legacy(graph_path, instance.utilities,
-                                             legacy_cache);
 
-  ASSERT_EQ(sharded.num_points(), legacy.num_points());
-  std::vector<Edge> sharded_edges, legacy_edges, scratch;
+  ASSERT_EQ(sharded.num_points(), instance.graph.num_nodes());
+  std::vector<Edge> sharded_edges, scratch;
   for (NodeId v = 0; v < static_cast<NodeId>(sharded.num_points()); ++v) {
+    const auto expected_span = instance.graph.neighbors(v);
+    const std::vector<Edge> expected(expected_span.begin(), expected_span.end());
     sharded.neighbors(v, sharded_edges);
-    legacy.neighbors(v, legacy_edges);
-    ASSERT_EQ(sharded_edges, legacy_edges) << "node " << v;
+    ASSERT_EQ(sharded_edges, expected) << "node " << v;
     // The zero-copy span must agree with the copying path.
     const auto span = sharded.neighbors_span(v, scratch);
-    ASSERT_EQ(std::vector<Edge>(span.begin(), span.end()), legacy_edges)
+    ASSERT_EQ(std::vector<Edge>(span.begin(), span.end()), expected)
         << "node " << v;
+    EXPECT_EQ(sharded.utility(v), instance.utilities[static_cast<std::size_t>(v)]);
   }
+  EXPECT_GT(sharded.stats().misses, 0u);
 }
 
 }  // namespace

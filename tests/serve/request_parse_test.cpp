@@ -171,6 +171,26 @@ TEST(RequestParse, BadFieldValuesReject) {
             Code::kBadField);
 }
 
+TEST(RequestParse, EpsilonOutsideOpenUnitIntervalRejects) {
+  // ε drives the sampled and threshold solvers: 0 hangs threshold greedy,
+  // 0 or 1 turn the stochastic sample size into inf, so anything outside
+  // (0, 1) is refused at the wire for every solver that reads it.
+  for (const std::string solver :
+       {"stochastic-greedy", "threshold-greedy", "sieve-streaming"}) {
+    const std::string head = R"({"type":"select","id":"e1","dataset":"toy",)"
+                             R"("k":5,"solver":")" +
+                             solver + R"(","epsilon":)";
+    for (const char* bad : {"0", "1", "-0.5", "1e-400"}) {
+      EXPECT_EQ(reject_code(head + bad + "}"), Code::kBadField)
+          << solver << " epsilon=" << bad;
+    }
+    // JSON has no NaN literal: the strict parser refuses it outright.
+    EXPECT_EQ(reject_code(head + "NaN}"), Code::kMalformedJson) << solver;
+    EXPECT_DOUBLE_EQ(parse_request(head + "0.25}", ParseLimits{}).epsilon, 0.25)
+        << solver;
+  }
+}
+
 TEST(RequestParse, ConstraintFieldsParseAndRoundTrip) {
   const auto request = parse_request(
       R"({"type":"select","id":"c1","dataset":"toy","k":20,)"

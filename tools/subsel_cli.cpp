@@ -63,6 +63,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -86,11 +87,15 @@ using namespace subsel;
 /// --name=value / --name flag accessor over argv. Numeric accessors validate
 /// that the whole value parses (strtod/strtoull full-consume) — a malformed
 /// `--fraction=0.1x` or `--machines=abc` is a usage error, never a silent 0.
+/// Every lookup records the flag name, and reject_unread() fails on any
+/// --flag the subcommand never looked up, so a typo or a retired flag is a
+/// usage error instead of a silent run with defaults.
 class CliArgs {
  public:
   CliArgs(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
   std::optional<std::string> get(const std::string& name) const {
+    read_.insert(name);
     const std::string prefix = "--" + name + "=";
     for (int i = 2; i < argc_; ++i) {
       if (std::strncmp(argv_[i], prefix.c_str(), prefix.size()) == 0) {
@@ -140,6 +145,7 @@ class CliArgs {
   /// Every occurrence of --name=value, in argv order (for repeatable flags
   /// like serve's --data).
   std::vector<std::string> get_all(const std::string& name) const {
+    read_.insert(name);
     const std::string prefix = "--" + name + "=";
     std::vector<std::string> values;
     for (int i = 2; i < argc_; ++i) {
@@ -151,6 +157,7 @@ class CliArgs {
   }
 
   bool has_flag(const std::string& name) const {
+    read_.insert(name);
     const std::string flag = "--" + name;
     for (int i = 2; i < argc_; ++i) {
       if (flag == argv_[i]) return true;
@@ -158,9 +165,24 @@ class CliArgs {
     return false;
   }
 
+  /// Throws std::invalid_argument (exit 1) naming the first --flag that
+  /// `subsel <command>` has not looked up. Call once all flags are read and
+  /// before any work starts.
+  void reject_unread(const std::string& command) const {
+    for (int i = 2; i < argc_; ++i) {
+      const std::string arg = argv_[i];
+      if (arg.rfind("--", 0) != 0) continue;
+      if (read_.count(arg.substr(2, arg.find('=') - 2)) == 0) {
+        throw std::invalid_argument("flag " + arg + " is not used by `subsel " +
+                                    command + "`");
+      }
+    }
+  }
+
  private:
   int argc_;
   char** argv_;
+  mutable std::set<std::string> read_;
 };
 
 int usage() {
@@ -210,6 +232,9 @@ int cmd_generate(const CliArgs& args) {
   const std::string out = args.require("out");
   const double scale = args.get_double("scale", 0.1);
   const auto seed = static_cast<std::uint64_t>(args.get_size("seed", 42));
+  const std::size_t toy_points = args.get_size("points", 2000);
+  const std::size_t toy_classes = args.get_size("classes", 10);
+  args.reject_unread("generate");
 
   data::Dataset dataset;
   if (type == "cifar") {
@@ -217,8 +242,7 @@ int cmd_generate(const CliArgs& args) {
   } else if (type == "imagenet") {
     dataset = data::imagenet_proxy(scale, seed);
   } else if (type == "toy") {
-    dataset = data::toy_dataset(args.get_size("points", 2000),
-                                args.get_size("classes", 10), seed);
+    dataset = data::toy_dataset(toy_points, toy_classes, seed);
   } else {
     std::fprintf(stderr, "unknown --type=%s (cifar|imagenet|toy)\n", type.c_str());
     return 1;
@@ -231,7 +255,9 @@ int cmd_generate(const CliArgs& args) {
 }
 
 int cmd_info(const CliArgs& args) {
-  const auto dataset = data::load_dataset(args.require("data"));
+  const std::string data_path = args.require("data");
+  args.reject_unread("info");
+  const auto dataset = data::load_dataset(data_path);
   double min_utility = dataset.utilities.empty() ? 0.0 : dataset.utilities[0];
   double max_utility = min_utility;
   for (double u : dataset.utilities) {
@@ -251,7 +277,8 @@ int cmd_info(const CliArgs& args) {
   return 0;
 }
 
-int cmd_solvers() {
+int cmd_solvers(const CliArgs& args) {
+  args.reject_unread("solvers");
   const auto solvers = api::SolverRegistry::instance().list();
   std::printf("kernel backend: %s (detected: %s)\n\n",
               subsel::simd::active_backend_name(),
@@ -274,7 +301,8 @@ int cmd_solvers() {
   return 0;
 }
 
-int cmd_objectives() {
+int cmd_objectives(const CliArgs& args) {
+  args.reject_unread("objectives");
   const auto objectives = api::ObjectiveRegistry::instance().list();
   const auto solvers = api::SolverRegistry::instance().list();
   std::printf("kernel backend: %s\n\n", subsel::simd::active_backend_name());
@@ -283,7 +311,6 @@ int cmd_objectives() {
     std::string flags;
     if (info.caps.linear_priority_updates) flags += " closed-form-updates";
     else flags += " lazy-gain-path";
-    if (info.caps.incremental_state) flags += " incremental-state";
     if (info.caps.utility_bounds) flags += " utility-bounds";
     if (info.caps.distributed_scoring) flags += " distributed-scoring";
     if (info.caps.monotone) flags += " monotone";
@@ -325,6 +352,7 @@ int cmd_objectives() {
 int cmd_select(const CliArgs& args) {
   const std::string data_path = args.require("data");
   const std::string out = args.require("out");
+  const std::optional<std::string> report_path = args.get("report");
 
   // --disk keeps the adjacency on disk behind a sharded LRU block cache;
   // only the per-point scalars are loaded. Default materializes the whole
@@ -332,28 +360,12 @@ int cmd_select(const CliArgs& args) {
   // mutex); --prefetch-depth controls how far ahead of the solve loop the
   // round plans are paged in.
   const bool disk = args.has_flag("disk");
-  data::Dataset dataset;
-  std::unique_ptr<graph::GroundSet> disk_ground_set;
-  if (disk) {
-    auto scalars = data::load_dataset_scalars(data_path);
-    graph::DiskGroundSetConfig cache;
-    cache.max_cached_blocks = args.get_size("cache-blocks", 64);
-    cache.block_edges = args.get_size("block-edges", cache.block_edges);
-    cache.num_shards = args.get_size("disk-shards", cache.num_shards);
-    disk_ground_set = std::make_unique<graph::DiskGroundSet>(
-        data_path + ".graph", std::move(scalars.utilities), cache);
-  } else {
-    dataset = data::load_dataset(data_path);
-  }
-  const auto in_memory_ground_set =
-      disk ? graph::InMemoryGroundSet(dataset.graph, dataset.utilities)
-           : dataset.ground_set();
-  const graph::GroundSet& ground_set =
-      disk ? *disk_ground_set
-           : static_cast<const graph::GroundSet&>(in_memory_ground_set);
+  graph::DiskGroundSetConfig cache;
+  cache.max_cached_blocks = args.get_size("cache-blocks", 64);
+  cache.block_edges = args.get_size("block-edges", cache.block_edges);
+  cache.num_shards = args.get_size("disk-shards", cache.num_shards);
 
   api::SelectionRequest request;
-  request.ground_set = &ground_set;
   request.k = args.get_size("k", 0);
   request.fraction = args.get_double("fraction", 0.0);
   request.objective_name = args.get("objective").value_or("pairwise");
@@ -365,16 +377,6 @@ int cmd_select(const CliArgs& args) {
   request.coverage.utility_weighted = !args.has_flag("unweighted");
   request.seed = static_cast<std::uint64_t>(args.get_size("seed", 23));
   request.solver = args.get("solver").value_or("pipeline");
-  // Back-compat: --engine=memory|dataflow predates --solver.
-  if (const auto engine = args.get("engine"); engine.has_value()) {
-    if (*engine == "dataflow") {
-      request.solver = "dataflow";
-    } else if (*engine != "memory") {
-      std::fprintf(stderr, "unknown --engine=%s (memory|dataflow)\n",
-                   engine->c_str());
-      return 1;
-    }
-  }
 
   request.deadline_ms =
       static_cast<std::uint64_t>(args.get_size("deadline-ms", 0));
@@ -392,22 +394,31 @@ int cmd_select(const CliArgs& args) {
   // Selection constraints: one-value-per-line sidecar files (line i =
   // element i). Consistency (sizes, budget present, caps cover groups) is
   // validated by the registry before dispatch.
-  if (const auto cost_file = args.get("cost-file"); cost_file.has_value()) {
+  const std::optional<std::string> cost_file = args.get("cost-file");
+  request.constraints.cost_budget = args.get_double("cost-budget", 0.0);
+  const std::optional<std::string> group_file = args.get("group-file");
+  request.constraints.group_cap = args.get_size("group-cap", 0);
+  const std::optional<std::string> bounding_flag = args.get("bounding");
+  request.bounding.sample_fraction = args.get_double("sample", 0.3);
+  request.dataflow.num_shards = args.get_size("shards", 64);
+  request.dataflow.worker_memory_bytes =
+      args.get_size("worker-memory-kb", 0) * 1024;
+  args.reject_unread("select");
+
+  if (cost_file.has_value()) {
     request.constraints.costs = data::load_value_file(*cost_file, "cost");
   }
-  request.constraints.cost_budget = args.get_double("cost-budget", 0.0);
-  if (const auto group_file = args.get("group-file"); group_file.has_value()) {
+  if (group_file.has_value()) {
     request.constraints.groups = data::load_group_file(*group_file);
   }
-  request.constraints.group_cap = args.get_size("group-cap", 0);
   // Constraints compose with every solver except the bounding pre-pass and
   // the dataflow substrate; default bounding off on constrained runs unless
   // the user pinned it, so `--solver=pipeline --cost-budget=...` just works.
-  if (request.constraints.any() && !args.get("bounding").has_value()) {
+  if (request.constraints.any() && !bounding_flag.has_value()) {
     request.bounding.enabled = false;
   }
 
-  const std::string bounding = args.get("bounding").value_or("uniform");
+  const std::string bounding = bounding_flag.value_or("uniform");
   if (bounding == "none") {
     request.bounding.enabled = false;
   } else if (bounding == "exact") {
@@ -420,10 +431,23 @@ int cmd_select(const CliArgs& args) {
     std::fprintf(stderr, "unknown --bounding=%s\n", bounding.c_str());
     return 1;
   }
-  request.bounding.sample_fraction = args.get_double("sample", 0.3);
-  request.dataflow.num_shards = args.get_size("shards", 64);
-  request.dataflow.worker_memory_bytes =
-      args.get_size("worker-memory-kb", 0) * 1024;
+
+  data::Dataset dataset;
+  std::unique_ptr<graph::GroundSet> disk_ground_set;
+  if (disk) {
+    auto scalars = data::load_dataset_scalars(data_path);
+    disk_ground_set = std::make_unique<graph::DiskGroundSet>(
+        data_path + ".graph", std::move(scalars.utilities), cache);
+  } else {
+    dataset = data::load_dataset(data_path);
+  }
+  const auto in_memory_ground_set =
+      disk ? graph::InMemoryGroundSet(dataset.graph, dataset.utilities)
+           : dataset.ground_set();
+  const graph::GroundSet& ground_set =
+      disk ? *disk_ground_set
+           : static_cast<const graph::GroundSet&>(in_memory_ground_set);
+  request.ground_set = &ground_set;
 
   const api::SelectionReport report = api::select(request);
   data::save_subset(report.selected, out);
@@ -485,7 +509,7 @@ int cmd_select(const CliArgs& args) {
     std::printf("run degraded: %s\n", report.degraded_reason.c_str());
   }
 
-  if (const auto report_path = args.get("report"); report_path.has_value()) {
+  if (report_path.has_value()) {
     std::ofstream report_file(*report_path, std::ios::trunc);
     report_file << report.to_json() << '\n';
     report_file.close();  // flush before checking, or buffered errors hide
@@ -506,15 +530,13 @@ int cmd_select(const CliArgs& args) {
 }
 
 int cmd_score(const CliArgs& args) {
-  const auto dataset = data::load_dataset(args.require("data"));
-  const auto subset = data::load_subset(args.require("subset"));
+  const std::string data_path = args.require("data");
+  const std::string subset_path = args.require("subset");
   const auto params =
       core::ObjectiveParams::from_alpha(args.get_double("alpha", 0.9));
-  const auto ground_set = dataset.ground_set();
 
   // Build the scoring kernel through the registry, like `select` does.
   api::SelectionRequest request;
-  request.ground_set = &ground_set;
   request.objective_name = args.get("objective").value_or("pairwise");
   request.objective = params;
   request.facility_location.self_similarity = args.get_double("self-sim", 1.0);
@@ -522,10 +544,17 @@ int cmd_score(const CliArgs& args) {
   request.coverage.saturation = args.get_double("saturation", 1.0);
   request.coverage.self_similarity = args.get_double("self-sim", 1.0);
   request.coverage.utility_weighted = !args.has_flag("unweighted");
+  const bool distributed = args.has_flag("distributed");
+  args.reject_unread("score");
+
+  const auto dataset = data::load_dataset(data_path);
+  const auto subset = data::load_subset(subset_path);
+  const auto ground_set = dataset.ground_set();
+  request.ground_set = &ground_set;
   const auto kernel = api::ObjectiveRegistry::instance().make(request);
 
   double score = 0.0;
-  if (args.has_flag("distributed")) {
+  if (distributed) {
     if (!kernel->caps().distributed_scoring) {
       std::fprintf(stderr,
                    "--distributed scoring needs an edge-decomposable"
@@ -540,7 +569,7 @@ int cmd_score(const CliArgs& args) {
   }
   std::printf("f(S) = %.6f over %zu points (objective=%s, alpha=%.2f%s)\n",
               score, subset.size(), request.objective_name.c_str(), params.alpha,
-              args.has_flag("distributed") ? ", distributed" : "");
+              distributed ? ", distributed" : "");
   return 0;
 }
 
@@ -592,6 +621,7 @@ int cmd_serve(const CliArgs& args) {
     spec.group_file = args.get("group-file").value_or("");
     config.datasets.push_back(std::move(spec));
   }
+  args.reject_unread("serve");
 
   serve::SelectionServer server(config);
   serve::SocketServer transport(server, socket_path);
@@ -640,8 +670,8 @@ int main(int argc, char** argv) {
     }
     if (command == "generate") return cmd_generate(args);
     if (command == "info") return cmd_info(args);
-    if (command == "solvers") return cmd_solvers();
-    if (command == "objectives") return cmd_objectives();
+    if (command == "solvers") return cmd_solvers(args);
+    if (command == "objectives") return cmd_objectives(args);
     if (command == "select") return cmd_select(args);
     if (command == "score") return cmd_score(args);
     if (command == "serve") return cmd_serve(args);
