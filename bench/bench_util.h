@@ -10,6 +10,8 @@
 // Benches that write a BENCH_*.json stamp it with write_manifest().
 #pragma once
 
+#include <malloc.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -97,10 +99,29 @@ inline std::string source_commit() {
   return commit.empty() ? "unknown" : commit;
 }
 
+/// The M_MMAP_THRESHOLD set by pin_mmap_threshold(); 0 while glibc still
+/// adjusts it dynamically.
+inline int& pinned_mmap_threshold() {
+  static int bytes = 0;
+  return bytes;
+}
+
+/// glibc raises its mmap threshold each time a large mmapped block is freed,
+/// so whether a timed leg's big buffers arrive as fresh mmaps or as recycled,
+/// already-faulted heap would depend on what ran before it. Pinning the
+/// threshold at glibc's initial default (128 KiB) keeps each leg's time
+/// independent of leg order. Call first thing in main; the manifest records
+/// the pinned value.
+inline void pin_mmap_threshold() {
+  constexpr int kBytes = 128 * 1024;
+  if (mallopt(M_MMAP_THRESHOLD, kBytes) == 1) pinned_mmap_threshold() = kBytes;
+}
+
 /// The reproducibility manifest of a BENCH_*.json: which code (commit), built
 /// how (compiler, build type, flags), run where (core count, detected and
-/// active SIMD backend) and at what `scale` (the harness's own size knobs).
-/// Numbers from different manifests are not comparable.
+/// active SIMD backend, allocator mmap threshold) and at what `scale` (the
+/// harness's own size knobs). Numbers from different manifests are not
+/// comparable.
 inline void write_manifest(JsonWriter& json, const std::string& scale) {
   json.key("manifest").begin_object();
   json.key("commit").value(source_commit());
@@ -117,6 +138,10 @@ inline void write_manifest(JsonWriter& json, const std::string& scale) {
       static_cast<std::size_t>(std::thread::hardware_concurrency()));
   json.key("simd_detected").value(simd::backend_name(simd::detected_backend()));
   json.key("simd_active").value(simd::active_backend_name());
+  const int mmap_threshold = pinned_mmap_threshold();
+  json.key("mmap_threshold").value(
+      mmap_threshold > 0 ? "pinned " + std::to_string(mmap_threshold)
+                         : std::string("dynamic"));
   json.key("scale").value(scale);
   json.end_object();
 }

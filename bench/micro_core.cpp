@@ -1590,6 +1590,7 @@ int run_simd_matrix(SimdMatrixConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::pin_mmap_threshold();
   HotPathConfig hot;
   KernelHotPathConfig kernel;
   DiskHotPathConfig disk;

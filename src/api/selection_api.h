@@ -296,7 +296,8 @@ struct SelectionReport {
   /// round-based solvers, sieve/merge/coordinator residency for the rest.
   std::size_t peak_resident_elements = 0;
   /// Largest flat kernel incremental state behind one solve unit (0 for the
-  /// closed-form pairwise path and pure-oracle paths).
+  /// closed-form pairwise partition path and pure-oracle paths; n·8 bytes of
+  /// maintained gains for the pairwise centralized baselines).
   std::size_t peak_kernel_state_bytes = 0;
   /// Solver-specific scalar stats (e.g. GreeDi merge_candidates).
   std::vector<std::pair<std::string, double>> extra;

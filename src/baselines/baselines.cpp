@@ -270,26 +270,32 @@ GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
   Rng rng(seed);
   MarginalGainEngine engine(kernel);
   std::optional<core::ConstraintTracker> tracker;
+  double max_cost = 0.0;
   if (constraints != nullptr && !constraints->empty()) {
     tracker.emplace(*constraints);
+    if (constraints->has_knapsack()) {
+      max_cost = *std::max_element(constraints->costs.begin(),
+                                   constraints->costs.end());
+    }
   }
   std::vector<NodeId> remaining(n);
   for (std::size_t i = 0; i < n; ++i) remaining[i] = static_cast<NodeId>(i);
   std::vector<double> gains;
 
   double total = 0.0;
+  bool recheck_pool = tracker.has_value();
   for (std::size_t step = 0; step < k; ++step) {
     if (deadline.expired()) {
       result.degraded = true;
       break;
     }
-    if (tracker) {
+    if (recheck_pool) {
       // Monotone infeasibility: an element the budgets reject now stays
-      // rejected forever, so compact the candidate pool once per step.
+      // rejected forever, so the pool is compacted for good.
       std::erase_if(remaining,
                     [&](NodeId v) { return !tracker->feasible(v); });
-      if (remaining.empty()) break;
     }
+    if (remaining.empty()) break;
     const std::size_t draw = std::min(sample_size, remaining.size());
     // Partial Fisher-Yates: the first `draw` slots become the random sample.
     for (std::size_t i = 0; i < draw; ++i) {
@@ -311,7 +317,16 @@ GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
     }
     const NodeId chosen = remaining[best_slot];
     engine.select(chosen);
-    if (tracker) tracker->accept(chosen);
+    if (tracker) {
+      tracker->accept(chosen);
+      // The compaction is an O(n) scan, so skip it while it would remove
+      // nothing: a pooled element can only have turned infeasible if this
+      // acceptance filled its group (then `chosen` itself no longer fits)
+      // or left less budget than the largest cost.
+      recheck_pool = !tracker->feasible(chosen) ||
+                     (constraints->has_knapsack() &&
+                      !constraints->fits_cost(tracker->spent_cost(), max_cost));
+    }
     result.selected.push_back(chosen);
     total += best_gain;
     std::swap(remaining[best_slot], remaining.back());

@@ -92,9 +92,10 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
 /// Lazy greedy (Minoux): max-heap of stale marginal gains, re-evaluated only
 /// when popped. Identical output to Algorithm 1 by submodularity — for any
 /// submodular kernel, not just pairwise. Gains run through the
-/// MarginalGainEngine: the exact O(deg) oracle for pairwise kernels
-/// (bit-identical to the historical implementation), flat incremental state
-/// for the coverage-family kernels (O(deg) instead of the O(deg^2) oracle).
+/// MarginalGainEngine: maintained gains for pairwise kernels (a re-evaluation
+/// is a load; each accepted element reads its neighborhood once), flat
+/// incremental state for the coverage-family kernels (O(deg) instead of the
+/// O(deg^2) oracle).
 /// `deadline` is checked once per accepted element: an expired run returns
 /// the valid greedy prefix picked so far with `degraded` set (each prefix is
 /// itself the exact lazy-greedy answer for its own size).

@@ -8,13 +8,18 @@
 // 10-80x solve-phase gap recorded in BENCH_objective_matrix.json. This
 // engine picks the fastest exact gain machinery the kernel offers:
 //
-//  - pairwise-family kernels (pairwise_params() != nullptr) keep the exact
-//    O(deg) oracle — bit-identical to the historical implementations;
+//  - pairwise-family kernels (pairwise_params() != nullptr) use Algorithm
+//    2's maintained gains: one flat array seeded with α·u(v), from which
+//    select(s) subtracts β·s(s, v) for every neighbor v of s. A gain is a
+//    load and a solve reads one neighborhood per selection — the oracle
+//    reads one per evaluated candidate, which out of core is one block
+//    read per evaluation;
 //  - every other kernel gets the whole ground set materialized once as a
 //    single subproblem (global id == local id) and runs its incremental
 //    state over it: flat O(deg) gains + O(deg) delta updates +
 //    one-virtual-call batch evaluation;
-//  - ground sets too large to materialize fall back to the exact oracle.
+//  - ground sets larger than SubproblemArena::kDenseMembershipLimit fall
+//    back to the exact oracle for every kernel.
 //
 // The engine owns the membership bitmap: baselines call select() instead of
 // flipping their own bitmap, so the oracle and state paths can never drift.
@@ -32,12 +37,11 @@ namespace subsel::baselines {
 
 class MarginalGainEngine {
  public:
-  /// Binds to `kernel` (non-owning; must outlive the engine) and, on the
-  /// incremental path, materializes the full ground set into an internal
-  /// arena. The state path is only engaged up to
+  /// Binds to `kernel` (non-owning; must outlive the engine) over the
+  /// ground set's current num_points() = n. Flat state is only engaged up to
   /// SubproblemArena::kDenseMembershipLimit points — beyond it (the virtual
-  /// multi-billion-point sets) the CSR copy would dominate, so the oracle
-  /// path runs instead.
+  /// multi-billion-point sets) the per-element arrays would dominate, so the
+  /// oracle path runs instead.
   explicit MarginalGainEngine(const core::ObjectiveKernel& kernel);
 
   bool is_selected(core::NodeId v) const {
@@ -47,24 +51,35 @@ class MarginalGainEngine {
   /// Exact marginal gain of v given everything select()ed so far.
   double gain(core::NodeId v) const;
 
-  /// out[i] = gain(candidates[i]); one virtual dispatch total on the
-  /// incremental path.
+  /// out[i] = gain(candidates[i]); a gather for pairwise, one virtual
+  /// dispatch total for the other incremental states.
   void gains_batch(std::span<const core::NodeId> candidates,
                    std::span<double> out) const;
 
+  /// Adds v (< n) to the solution. Neighbors with ids >= n — points a
+  /// mutable ground set gained after construction — carry no engine state
+  /// and are skipped.
   void select(core::NodeId v);
 
-  bool incremental() const noexcept { return state_ != nullptr; }
+  bool incremental() const noexcept {
+    return !pairwise_gains_.empty() || state_ != nullptr;
+  }
   std::size_t materialized_bytes() const noexcept {
     return sub_ != nullptr ? sub_->byte_size() : 0;
   }
   std::size_t kernel_state_bytes() const noexcept {
-    return state_ != nullptr ? state_->state_bytes() : 0;
+    if (state_ != nullptr) return state_->state_bytes();
+    return pairwise_gains_.size() * sizeof(double);
   }
 
  private:
   const core::ObjectiveKernel* kernel_;
   std::vector<std::uint8_t> membership_;
+  // Pairwise: pairwise_gains_[v] = gain(v | S), and beta_ = β.
+  std::vector<double> pairwise_gains_;
+  double beta_ = 0.0;
+  std::vector<graph::Edge> edge_scratch_;
+  // Every other kernel: the ground set as one subproblem plus its state.
   core::SubproblemArena arena_;
   const core::Subproblem* sub_ = nullptr;
   std::unique_ptr<core::KernelIncrementalState> state_;

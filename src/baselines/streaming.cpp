@@ -88,8 +88,8 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
   }
 
   // Every sweep re-evaluates every remaining candidate — precisely the
-  // workload the engine's incremental state turns from O(deg^2) into O(deg)
-  // per evaluation for the coverage-family kernels.
+  // workload the engine turns into a load for pairwise and from O(deg^2)
+  // into O(deg) per evaluation for the coverage-family kernels.
   MarginalGainEngine engine(kernel);
 
   // d = the maximum singleton value (α·max utility for pairwise — a
@@ -113,6 +113,13 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
     return result;
   }
 
+  // The unselected, still-feasible ids in ascending order: every scan below
+  // visits them in full-scan order and drops the ones it selects or finds
+  // infeasible (monotone infeasibility: they never come back), so a sweep
+  // costs the live candidates, not n.
+  std::vector<NodeId> candidates(n);
+  for (std::size_t i = 0; i < n; ++i) candidates[i] = static_cast<NodeId>(i);
+
   const double floor_threshold = epsilon * d / static_cast<double>(n);
   for (double w = d; w >= floor_threshold && result.selected.size() < k;
        w *= (1.0 - epsilon)) {
@@ -120,9 +127,11 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
       result.degraded = true;
       break;
     }
-    for (std::size_t i = 0; i < n && result.selected.size() < k; ++i) {
-      const auto v = static_cast<NodeId>(i);
-      if (engine.is_selected(v)) continue;
+    std::size_t kept = 0;
+    // Reaching k ends the solve, so the unvisited tail need not be kept.
+    for (std::size_t i = 0; i < candidates.size() && result.selected.size() < k;
+         ++i) {
+      const NodeId v = candidates[i];
       if (tracker && !tracker->feasible(v)) continue;
       const double g = engine.gain(v);
       if (g >= w) {
@@ -130,8 +139,11 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
         if (tracker) tracker->accept(v);
         result.selected.push_back(v);
         total += g;
+        continue;
       }
+      candidates[kept++] = v;
     }
+    candidates.resize(kept);
   }
 
   // Elements whose residual gain sits below εd/n never pass the sweep; fill
@@ -144,21 +156,25 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
       break;
     }
     double best_gain = -std::numeric_limits<double>::infinity();
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto v = static_cast<NodeId>(i);
-      if (engine.is_selected(v)) continue;
+    std::size_t kept = 0;
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const NodeId v = candidates[i];
       if (tracker && !tracker->feasible(v)) continue;
       const double g = engine.gain(v);
-      if (best == n || g > best_gain) {
+      if (kept == 0 || g > best_gain) {
         best_gain = g;
-        best = i;
+        best = kept;
       }
+      candidates[kept++] = v;
     }
-    if (best == n) break;
-    engine.select(static_cast<NodeId>(best));
-    if (tracker) tracker->accept(static_cast<NodeId>(best));
-    result.selected.push_back(static_cast<NodeId>(best));
+    candidates.resize(kept);
+    if (candidates.empty()) break;
+    const NodeId chosen = candidates[best];
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
+    engine.select(chosen);
+    if (tracker) tracker->accept(chosen);
+    result.selected.push_back(chosen);
     total += best_gain;
   }
   result.objective = total;
@@ -292,7 +308,8 @@ SamplePruneResult sample_and_prune(const GroundSet& ground_set, std::size_t k,
 
   // Every round evaluates each sampled candidate per greedy step and every
   // survivor once for the prune — the per-candidate-per-round re-evaluation
-  // the engine's incremental state makes O(deg) and batchable.
+  // the engine's maintained gains (pairwise) and incremental state (every
+  // other kernel) make cheap and batchable.
   MarginalGainEngine engine(kernel);
   std::vector<core::NodeId> survivors(n);
   for (std::size_t i = 0; i < n; ++i) survivors[i] = static_cast<core::NodeId>(i);

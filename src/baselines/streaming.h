@@ -129,8 +129,8 @@ struct SamplePruneResult {
   std::vector<std::size_t> survivors_per_round;
   /// Peak elements materialized on the coordinating machine.
   std::size_t peak_resident_elements = 0;
-  /// Gain-engine footprint: materialized full-ground subproblem + flat kernel
-  /// state (0 on the pairwise oracle path).
+  /// Gain-engine footprint: materialized full-ground subproblem (0 for
+  /// pairwise) + flat kernel state (0 on the oracle path).
   std::size_t materialized_bytes = 0;
   std::size_t kernel_state_bytes = 0;
   /// True when the deadline ended the round loop before the budget filled.

@@ -110,7 +110,9 @@ core::DistributedGreedyResult beam_distributed_greedy(
       stats.input_size = dataflow::count(survivors);
 
       std::size_t n_round = config.delta(v0, config.num_rounds, round, k_open);
-      n_round = std::clamp<std::size_t>(n_round, k_open, stats.input_size);
+      // Not std::clamp: a constrained round can leave fewer survivors than
+      // k_open (hi < lo, which clamp forbids); the survivor count then wins.
+      n_round = std::min(std::max(n_round, k_open), stats.input_size);
       stats.target_size = n_round;
 
       std::size_t m_round = config.num_machines;

@@ -234,7 +234,9 @@ DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::siz
       stats.input_size = survivors.size();
 
       std::size_t n_round = config.delta(v0, config.num_rounds, round, k_open);
-      n_round = std::clamp<std::size_t>(n_round, k_open, survivors.size());
+      // Not std::clamp: a constrained round can leave fewer survivors than
+      // k_open (hi < lo, which clamp forbids); the survivor count then wins.
+      n_round = std::min(std::max(n_round, k_open), survivors.size());
       stats.target_size = n_round;
 
       std::size_t m_round = config.num_machines;

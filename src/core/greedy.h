@@ -50,7 +50,7 @@ struct GreedyResult {
   /// pure-oracle paths that never materialize one).
   std::size_t materialized_bytes = 0;
   /// Bytes of flat kernel incremental state backing the solve (0 for the
-  /// closed-form pairwise path and oracle paths).
+  /// closed-form pairwise partition path and oracle paths).
   std::size_t kernel_state_bytes = 0;
   /// True when a deadline cut the solve short; `selected` then holds the
   /// valid (merely smaller) prefix chosen before time ran out.

@@ -6,7 +6,8 @@
 //  - exact `evaluate` / `marginal_gain` / `singleton_value` over the full
 //    ground set. `evaluate` is the cross-solver comparable f(S) every report
 //    carries (computed once per request); `marginal_gain` is the exact
-//    oracle the pairwise baselines and the conformance tests use;
+//    oracle the conformance tests, sieve-streaming and the baselines above
+//    SubproblemArena::kDenseMembershipLimit points use;
 //  - a `gain_offset` making every marginal gain non-negative (the Appendix-A
 //    monotonicity shift, 0 for inherently monotone kernels);
 //  - exactly one gain engine for the partition solves. Kernels whose marginal

@@ -2,16 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "../testing/constraint_oracle.h"
+#include "../testing/property.h"
 #include "../testing/test_instances.h"
+#include "baselines/streaming.h"
+#include "core/constraints.h"
 #include "data/datasets.h"
 
 namespace subsel::baselines {
 namespace {
 
+using subsel::testing::check_property;
+using subsel::testing::feasibility_violation;
 using subsel::testing::Instance;
+using subsel::testing::random_constraints;
 using subsel::testing::random_instance;
+using subsel::testing::scaled;
 
 TEST(RandomSelection, ProducesValidSubset) {
   const Instance instance = random_instance(100, 4, 701);
@@ -145,6 +157,48 @@ TEST(StochasticGreedy, DeterministicForFixedSeed) {
   const auto a = stochastic_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 10, 0.1, 5);
   const auto b = stochastic_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 10, 0.1, 5);
   EXPECT_EQ(a.selected, b.selected);
+}
+
+TEST(ConstrainedBaselines, FeasibleAndMaximalWhenThePoolRunsDry) {
+  // With k = n a constrained run may only stop once no unselected element
+  // fits the final selection. Stochastic and threshold greedy keep pools of
+  // candidates that are re-checked only when an acceptance can have made one
+  // infeasible; the pools must run dry exactly then, never holding an
+  // infeasible element and never losing a feasible one.
+  check_property(
+      "constrained centralized baselines", 150,
+      [](std::uint64_t seed, double scale) -> std::optional<std::string> {
+        const std::size_t n = scaled(24, scale, 4);
+        const Instance instance = random_instance(n, 3, seed);
+        const auto ground_set = instance.ground_set();
+        const core::PairwiseKernel kernel(ground_set,
+                                          ObjectiveParams::from_alpha(0.9));
+        Rng rng(seed ^ 0x9a7e);
+        const core::ConstraintSet constraints = random_constraints(n, rng);
+        const std::pair<const char*, GreedyResult> runs[] = {
+            {"lazy_greedy", lazy_greedy(kernel, n, {}, &constraints)},
+            {"stochastic_greedy",
+             stochastic_greedy(kernel, n, 0.1, seed, {}, &constraints)},
+            {"threshold_greedy", threshold_greedy(kernel, n, 0.1, {}, &constraints)},
+        };
+        for (const auto& [name, result] : runs) {
+          std::vector<NodeId> sorted = result.selected;
+          std::sort(sorted.begin(), sorted.end());
+          std::string violation = feasibility_violation(sorted, constraints, n);
+          core::ConstraintTracker final_state(constraints);
+          final_state.seed(sorted);
+          for (std::size_t i = 0; i < n && violation.empty(); ++i) {
+            const auto v = static_cast<NodeId>(i);
+            if (!std::binary_search(sorted.begin(), sorted.end(), v) &&
+                final_state.feasible(v)) {
+              violation = "stopped with element " + std::to_string(v) +
+                          " still feasible";
+            }
+          }
+          if (!violation.empty()) return std::string(name) + ": " + violation;
+        }
+        return std::nullopt;
+      });
 }
 
 TEST(KCenter, CoversTheSpaceAndRadiusShrinksWithK) {

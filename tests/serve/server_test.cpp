@@ -97,8 +97,12 @@ TEST_F(ServeTest, IdenticalRequestsYieldBitIdenticalSelections) {
 
 TEST_F(ServeTest, DeadlineExpiringMidSolveDegradesWithValidSelection) {
   auto server = make_server();
+  // Every pool task sleeps 5 ms, so round 1 alone outlasts the 1 ms budget
+  // and the round loop sees it expired before round 2, however fast the
+  // machine solves the toy set.
+  failpoint::arm_from_spec("pool.task=delay(5)");
   auto request = select_request("tight", 500);
-  request.deadline_ms = 1;  // expires inside the solve on any machine
+  request.deadline_ms = 1;
   const auto response = server->submit(std::move(request)).get();
   EXPECT_EQ(response.status, ServeResponse::Status::kDegraded);
   // Either the solver degraded mid-run or the budget was gone by dispatch;
@@ -112,8 +116,10 @@ TEST_F(ServeTest, DeadlineExpiringMidSolveDegradesWithValidSelection) {
 
 TEST_F(ServeTest, RequestExpiringInQueueDegradesWithoutSolving) {
   // One slot: a slow request holds it while a 1 ms-deadline request waits
-  // in the queue past its whole budget.
+  // in the queue past its whole budget. The 5 ms sleep in every pool task
+  // keeps the slow request's 8 rounds on the slot for at least 40 ms.
   auto server = make_server(/*max_concurrent=*/1);
+  failpoint::arm_from_spec("pool.task=delay(5)");
   auto slow = server->submit(select_request("slow", 600));
 
   auto tight = select_request("tight", 10);
