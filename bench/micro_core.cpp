@@ -1212,27 +1212,24 @@ int run_constraint_matrix(const ConstraintMatrixConfig& config) {
 
   std::printf("%-20s %-18s %12s %10s %8s %9s\n", "solver", "constraints",
               "f(S)", "solve ms", "|S|", "overhead");
-  int status = 0;
+  // One row per constrained-capable solver: its unconstrained request first,
+  // then one per shape, with every solve's time.
+  struct Row {
+    std::string solver;
+    std::vector<api::SelectionRequest> requests;
+    std::vector<api::SelectionReport> reports;
+    std::vector<std::vector<double>> runs;
+  };
+  std::vector<Row> rows;
   for (const api::SolverInfo& solver : api::SolverRegistry::instance().list()) {
     if (!solver.caps.constrained) continue;
-
-    const auto run_cell = [&](const api::SelectionRequest& request) {
-      const api::SelectionReport report = api::select(request, context);
-      double seconds = 0.0;
-      for (const api::StageTiming& timing : report.timings) {
-        seconds += timing.seconds;
-      }
-      return std::pair<api::SelectionReport, double>(report, seconds);
-    };
-
     api::SelectionRequest base;
     base.ground_set = &ground_set;
     base.k = k;
     base.seed = config.seed;
     base.solver = solver.name;
     base.bounding.enabled = false;  // bounding x constraints is a typed reject
-    const auto [unconstrained, unconstrained_seconds] = run_cell(base);
-
+    Row row{solver.name, {base}, {}, {}};
     for (const Shape& shape : shapes) {
       api::SelectionRequest request = base;
       if (shape.knapsack) {
@@ -1244,21 +1241,65 @@ int run_constraint_matrix(const ConstraintMatrixConfig& config) {
         request.constraints.group_cap = cap;
       }
       if (shape.blocks) request.constraints.blocked = blocked;
-      const auto [report, seconds] = run_cell(request);
-      const double overhead =
-          unconstrained_seconds > 0.0 ? seconds / unconstrained_seconds : 0.0;
+      row.requests.push_back(std::move(request));
+    }
+    row.reports.resize(row.requests.size());
+    row.runs.resize(row.requests.size());
+    rows.push_back(std::move(row));
+  }
+
+  // The fastest cells solve in ~0.1 ms, so one stretch of interference on a
+  // shared host can double a single-solve ratio. Every cell is solved once
+  // per sweep over the whole matrix (the solves are seed-deterministic), and
+  // reports the median of its kMatrixSweeps times. Its overhead is the
+  // median of its per-sweep ratios to the same sweep's unconstrained solve,
+  // which ran moments earlier: a host that slows down for a whole sweep
+  // cancels out, and an outlier solve is outvoted.
+  constexpr std::size_t kMatrixSweeps = 7;
+  for (std::size_t sweep = 0; sweep < kMatrixSweeps; ++sweep) {
+    for (Row& row : rows) {
+      for (std::size_t cell = 0; cell < row.requests.size(); ++cell) {
+        row.reports[cell] = api::select(row.requests[cell], context);
+        double seconds = 0.0;
+        for (const api::StageTiming& timing : row.reports[cell].timings) {
+          seconds += timing.seconds;
+        }
+        row.runs[cell].push_back(seconds);
+      }
+    }
+  }
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+
+  int status = 0;
+  for (const Row& row : rows) {
+    const api::SelectionReport& unconstrained = row.reports[0];
+    for (std::size_t s = 0; s < std::size(shapes); ++s) {
+      const Shape& shape = shapes[s];
+      const api::SelectionReport& report = row.reports[s + 1];
+      const double seconds = median(row.runs[s + 1]);
+      std::vector<double> ratios;
+      for (std::size_t sweep = 0; sweep < kMatrixSweeps; ++sweep) {
+        const double unconstrained_seconds = row.runs[0][sweep];
+        ratios.push_back(unconstrained_seconds > 0.0
+                             ? row.runs[s + 1][sweep] / unconstrained_seconds
+                             : 0.0);
+      }
+      const double overhead = median(ratios);
       const bool feasible =
           report.constraints.has_value() && report.constraints->feasible;
       if (!feasible) {
         std::fprintf(stderr, "FAIL: %s x %s returned an infeasible selection\n",
-                     solver.name.c_str(), shape.name);
+                     row.solver.c_str(), shape.name);
         status = 2;
       }
       std::printf("%-20s %-18s %12.3f %10.2f %8zu %8.2fx\n",
-                  solver.name.c_str(), shape.name, report.objective,
+                  row.solver.c_str(), shape.name, report.objective,
                   seconds * 1e3, report.selected.size(), overhead);
       json.begin_object();
-      json.key("solver").value(solver.name);
+      json.key("solver").value(row.solver);
       json.key("constraints").value(shape.name);
       json.key("objective_value").value(report.objective);
       json.key("normalized_vs_unconstrained")

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/rng.h"
 #include "common/topk.h"
@@ -26,6 +27,94 @@ std::vector<double> unassigned_values(const SelectionState& state,
     if (state.is_unassigned(static_cast<NodeId>(i))) values.push_back(bounds[i]);
   }
   return values;
+}
+
+/// Reads the neighborhood of every id in `ids` (ascending, so file order on
+/// an out-of-core ground set) on the pool and calls visit(i, ids[i], edges).
+/// The leading `prefetch_depth` worker chunks go to the ground set first as
+/// async page-in hints (no-op for resident sets): the hint tasks precede the
+/// chunks in the pool queue, so an out-of-core backend does its leading block
+/// I/O batched and in file order.
+template <typename Visit>
+void for_each_neighborhood(const GroundSet& ground_set, std::span<const NodeId> ids,
+                           const BoundingConfig& config, Visit&& visit) {
+  if (ids.empty()) return;
+  ThreadPool& workers = pool_or_global(config.pool);
+  const std::size_t num_chunks =
+      std::min(ids.size(), std::max<std::size_t>(1, workers.size() * 4));
+  const std::size_t chunk = (ids.size() + num_chunks - 1) / num_chunks;
+
+  if (config.prefetch_depth > 0) {
+    const std::size_t hint_end =
+        std::min(ids.size(), chunk * std::min(config.prefetch_depth, num_chunks));
+    ground_set.prefetch(ids.first(hint_end), &workers);
+  }
+
+  workers.parallel_for(num_chunks, [&](std::size_t c) {
+    const std::size_t begin = std::min(ids.size(), c * chunk);
+    const std::size_t end = std::min(ids.size(), begin + chunk);
+    std::vector<graph::Edge> scratch;
+    for (std::size_t i = begin; i < end; ++i) {
+      visit(i, ids[i], ground_set.neighbors_span(ids[i], scratch));
+    }
+  });
+}
+
+struct PointBounds {
+  double expected;  // Umin, or Uexp under sampling
+  double max;       // Umax
+};
+
+/// The one per-point fold behind every bound in this file. Both bounds start
+/// at u(v) and walk v's neighborhood in CSR order: neighbors in S′ subtract
+/// β/α·s(v,v2) from both, unassigned neighbors the round's sample keeps (all
+/// of them under exact bounding) from Uexp only, discarded neighbors from
+/// neither.
+///
+/// Because weights are non-negative and rounding is monotone, folding a
+/// superset of Umax's subtractions in the same order gives Uexp ≤ Umax bit
+/// for bit, not just in exact arithmetic — which is what lets Grow prune.
+PointBounds fold_bounds(const GroundSet& ground_set, const SelectionState& state,
+                        const BoundingConfig& config, std::uint64_t round_salt,
+                        NodeId v, std::span<const graph::Edge> edges) {
+  const double pair_scale = config.objective.pair_scale();
+  const bool sampling = config.sampling != BoundingSampling::kNone;
+
+  // Weighted sampling normalizes by the mean similarity over the *live*
+  // (non-discarded) neighborhood, which is what the distributed joins in
+  // beam/ can observe — keeping both implementations bit-identical.
+  double mean_weight = 0.0;
+  if (config.sampling == BoundingSampling::kWeighted) {
+    std::size_t live = 0;
+    for (const graph::Edge& e : edges) {
+      if (state.state(e.neighbor) != PointState::kDiscarded) {
+        mean_weight += e.weight;
+        ++live;
+      }
+    }
+    if (live > 0) mean_weight /= static_cast<double>(live);
+  }
+
+  const double u = ground_set.utility(v);
+  PointBounds bounds{u, u};
+  for (const graph::Edge& e : edges) {
+    switch (state.state(e.neighbor)) {
+      case PointState::kSelected:
+        // Neighbors in S′ are always counted, in both bounds.
+        bounds.expected -= pair_scale * e.weight;
+        bounds.max -= pair_scale * e.weight;
+        break;
+      case PointState::kUnassigned:
+        if (!sampling || detail::sample_neighbor(config, round_salt, v, e.neighbor,
+                                                 e.weight, mean_weight)) {
+          bounds.expected -= pair_scale * e.weight;
+        }
+        break;
+      case PointState::kDiscarded:
+        break;  // removed from the ground set; affects neither bound
+    }
+  }
+  return bounds;
 }
 
 }  // namespace
@@ -66,97 +155,54 @@ void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& s
   const std::size_t n = ground_set.num_points();
   u_min.assign(n, kNaN);
   u_max.assign(n, kNaN);
-  const double pair_scale = config.objective.pair_scale();
-  const bool sampling = config.sampling != BoundingSampling::kNone;
-
-  ThreadPool& workers = pool_or_global(config.pool);
-  const std::size_t num_chunks = std::max<std::size_t>(1, workers.size() * 4);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-
-  // Hand the pass's leading chunks to the ground set as async page-in hints
-  // (no-op for resident sets): the hint tasks precede the pass chunks in the
-  // pool queue, so an out-of-core backend does its leading block I/O batched
-  // and in file order.
-  if (config.prefetch_depth > 0) {
-    const std::size_t hint_end =
-        std::min(n, chunk * std::min(config.prefetch_depth, num_chunks));
-    std::vector<NodeId> upcoming;
-    upcoming.reserve(hint_end);
-    for (std::size_t i = 0; i < hint_end; ++i) {
-      if (state.is_unassigned(static_cast<NodeId>(i))) {
-        upcoming.push_back(static_cast<NodeId>(i));
-      }
-    }
-    ground_set.prefetch(std::span<const NodeId>(upcoming), &workers);
-  }
-
-  workers.parallel_for(num_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    std::vector<graph::Edge> scratch;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto v = static_cast<NodeId>(i);
-      if (!state.is_unassigned(v)) continue;
-      const auto edges = ground_set.neighbors_span(v, scratch);
-
-      // Weighted sampling normalizes by the mean similarity over the *live*
-      // (non-discarded) neighborhood, which is what the distributed joins in
-      // beam/ can observe — keeping both implementations bit-identical.
-      double mean_weight = 0.0;
-      if (config.sampling == BoundingSampling::kWeighted) {
-        std::size_t live = 0;
-        for (const graph::Edge& e : edges) {
-          if (state.state(e.neighbor) != PointState::kDiscarded) {
-            mean_weight += e.weight;
-            ++live;
-          }
-        }
-        if (live > 0) mean_weight /= static_cast<double>(live);
-      }
-
-      const double u = ground_set.utility(v);
-      double min_bound = u;
-      double max_bound = u;
-      for (const graph::Edge& e : edges) {
-        switch (state.state(e.neighbor)) {
-          case PointState::kSelected:
-            // Neighbors in S′ are always counted, in both bounds.
-            min_bound -= pair_scale * e.weight;
-            max_bound -= pair_scale * e.weight;
-            break;
-          case PointState::kUnassigned:
-            if (!sampling || sample_neighbor(config, round_salt, v, e.neighbor,
-                                             e.weight, mean_weight)) {
-              min_bound -= pair_scale * e.weight;
-            }
-            break;
-          case PointState::kDiscarded:
-            break;  // removed from the ground set; affects neither bound
-        }
-      }
-      u_min[i] = min_bound;
-      u_max[i] = max_bound;
-    }
-  });
+  const std::vector<NodeId> unassigned = state.unassigned_ids();
+  for_each_neighborhood(
+      ground_set, unassigned, config,
+      [&](std::size_t, NodeId v, std::span<const graph::Edge> edges) {
+        const PointBounds bounds =
+            fold_bounds(ground_set, state, config, round_salt, v, edges);
+        u_min[static_cast<std::size_t>(v)] = bounds.expected;
+        u_max[static_cast<std::size_t>(v)] = bounds.max;
+      });
 }
 
 }  // namespace detail
 
 std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
-                      std::size_t& k_remaining, const BoundingConfig& config,
-                      std::uint64_t round_salt) {
+                      std::size_t& k_remaining, std::vector<double>& u_max,
+                      const BoundingConfig& config, std::uint64_t round_salt) {
   if (k_remaining == 0) return 0;
-  std::vector<double> u_min, u_max;
-  detail::compute_utility_bounds(ground_set, state, config, round_salt, u_min, u_max);
+  assert(u_max.size() == state.size());
 
   // Threshold = U^k_max, the k-th largest maximum utility (Alg. 3).
-  const std::vector<double> max_values = unassigned_values(state, u_max);
-  const double threshold = kth_largest(max_values, k_remaining);
+  const double threshold = kth_largest(unassigned_values(state, u_max), k_remaining);
+
+  // Uexp ≤ Umax (see fold_bounds), so only the fewer than k_remaining points
+  // whose Umax already clears the threshold can pass Uexp > threshold; those
+  // are the only neighborhoods this pass reads before it selects.
+  std::vector<NodeId> probes;
+  for (std::size_t i = 0; i < u_max.size(); ++i) {
+    const auto v = static_cast<NodeId>(i);
+    if (state.is_unassigned(v) && u_max[i] > threshold) probes.push_back(v);
+  }
+  // A candidate's unassigned neighbors are kept from this same read: they are
+  // the points whose Umax moves if it is selected.
+  std::vector<double> expected(probes.size());
+  std::vector<std::vector<NodeId>> touched(probes.size());
+  for_each_neighborhood(
+      ground_set, probes, config,
+      [&](std::size_t i, NodeId v, std::span<const graph::Edge> edges) {
+        expected[i] =
+            fold_bounds(ground_set, state, config, round_salt, v, edges).expected;
+        if (!(expected[i] > threshold)) return;
+        for (const graph::Edge& e : edges) {
+          if (state.is_unassigned(e.neighbor)) touched[i].push_back(e.neighbor);
+        }
+      });
 
   std::vector<NodeId> candidates;
-  for (std::size_t i = 0; i < u_min.size(); ++i) {
-    const auto v = static_cast<NodeId>(i);
-    if (state.is_unassigned(v) && u_min[i] > threshold) candidates.push_back(v);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    if (expected[i] > threshold) candidates.push_back(probes[i]);
   }
   // Approximate bounding can over-grow; keep a uniform subsample of the right
   // size (Sec. 4.2). Exact bounding never exceeds k (Lemma 4.3).
@@ -167,6 +213,26 @@ std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
   }
   for (NodeId v : candidates) state.select(v);
   k_remaining -= candidates.size();
+
+  // Umax depends only on S′ and the neighborhood relation is symmetric, so
+  // only the selected points' unassigned neighbors have a new Umax. Each is
+  // recomputed from scratch in CSR order, in ascending id order: a running
+  // subtraction would round differently than the fold.
+  std::vector<NodeId> dirty;
+  for (NodeId v : candidates) {
+    const auto probe = std::lower_bound(probes.begin(), probes.end(), v);
+    for (NodeId neighbor : touched[static_cast<std::size_t>(probe - probes.begin())]) {
+      if (state.is_unassigned(neighbor)) dirty.push_back(neighbor);
+    }
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for_each_neighborhood(
+      ground_set, dirty, config,
+      [&](std::size_t, NodeId v, std::span<const graph::Edge> edges) {
+        u_max[static_cast<std::size_t>(v)] =
+            fold_bounds(ground_set, state, config, round_salt, v, edges).max;
+      });
   return candidates.size();
 }
 
@@ -201,6 +267,13 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
   result.state = SelectionState(n);
   result.k_remaining = std::min(k, n);
   if (result.k_remaining == 0) return result;
+
+  // Umax of every unassigned point, kept current by grow_step across passes
+  // (shrink's discards never enter it). S′ starts empty, so Umax = u.
+  std::vector<double> u_max(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u_max[i] = ground_set.utility(static_cast<NodeId>(i));
+  }
 
   std::uint64_t salt = 0;
   std::size_t total_rounds = 0;
@@ -256,8 +329,8 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
     for (;;) {
       if (out_of_time()) break;
       ++result.grow_rounds;
-      const std::size_t changed =
-          grow_step(ground_set, result.state, result.k_remaining, config, ++salt);
+      const std::size_t changed = grow_step(ground_set, result.state,
+                                            result.k_remaining, u_max, config, ++salt);
       grow_changes += changed;
       if (changed == 0 || result.k_remaining == 0 ||
           ++total_rounds >= config.max_rounds) {

@@ -16,9 +16,16 @@
 // unassigned neighbors (uniformly, or weighted by similarity); neighbors
 // already in S′ are always subtracted. Theorem 4.6 bounds the quality loss.
 //
-// Everything here runs one parallel pass per round over the unassigned
-// points; no step needs the subset resident on a single "machine" beyond the
-// one-byte-per-point state vector (see beam/ for the dataflow formulation).
+// Shrink runs one parallel pass over every unassigned point: its threshold is
+// a quantile of every Uexp. Grow touches only what can change its result:
+// Uexp ≤ Umax, so only the fewer than k_remaining points whose Umax clears
+// U^k_max can be selected, and Umax depends only on S′, so a selection moves
+// it only at the selected points' neighbors. bound() therefore keeps Umax
+// across passes; each Grow pass reads those few candidates' neighborhoods,
+// then refreshes Umax around what it selected. No step needs the subset
+// resident on a single "machine" beyond the one-byte-per-point state vector
+// and the Umax array (see beam/ for the dataflow formulation, which re-joins
+// every neighborhood on every pass).
 #pragma once
 
 #include <cstdint>
@@ -85,10 +92,17 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
                      const BoundingConfig& config);
 
 /// One Grow pass (Alg. 3) on an existing state; returns #points selected.
-/// Exposed for tests and for the beam/ driver.
+/// `u_max` holds Umax (Def. 4.2) of every unassigned point under `state`:
+/// u(v) while S′ is empty, else the u_max of compute_utility_bounds; entries
+/// of assigned points are ignored. The pass takes U^k_max from it, evaluates
+/// Uexp only for the points whose Umax clears that threshold (in ascending
+/// id order), and afterwards recomputes Umax for the unassigned neighbors of
+/// the points it selected, so `u_max` is current for the next pass. It reads
+/// fewer than k_remaining neighborhoods to decide plus one per such
+/// neighbor; the selections equal a full pass's bit for bit.
 std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
-                      std::size_t& k_remaining, const BoundingConfig& config,
-                      std::uint64_t round_salt);
+                      std::size_t& k_remaining, std::vector<double>& u_max,
+                      const BoundingConfig& config, std::uint64_t round_salt);
 
 /// One Shrink pass (Alg. 4); returns #points discarded.
 std::size_t shrink_step(const GroundSet& ground_set, SelectionState& state,

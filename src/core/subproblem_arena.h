@@ -153,9 +153,13 @@ class SubproblemArena {
         (static_cast<std::uint64_t>(epoch_) << 32) | local;
   }
 
-  /// Local id of `global` in the current epoch, or kNotMember.
+  /// Local id of `global` in the current epoch, or kNotMember. Ids past the
+  /// map are never members: a mutable ground set can hand out a neighbor id
+  /// inserted after begin_membership_epoch sized the map.
   std::uint32_t local_of(graph::NodeId global) const noexcept {
-    const std::uint64_t stamp = stamps_[static_cast<std::size_t>(global)];
+    const auto index = static_cast<std::size_t>(global);
+    if (index >= stamps_.size()) return kNotMember;
+    const std::uint64_t stamp = stamps_[index];
     return (stamp >> 32) == epoch_ ? static_cast<std::uint32_t>(stamp)
                                    : kNotMember;
   }

@@ -357,6 +357,35 @@ TEST(SubproblemArena, BinarySearchFallbackBeyondDenseLimit) {
   EXPECT_EQ(fallback_result.selected, dense_result.selected);
 }
 
+TEST(SubproblemArena, NeighborIdsPastTheMapAreNotMembers) {
+  // A mutable ground set can hand out a neighbor id inserted after the
+  // scatter map was sized for num_points(). Such ids are never members: the
+  // edges are dropped, not looked up past the end of the map.
+  class GrownView final : public graph::GroundSet {
+   public:
+    std::size_t num_points() const override { return 4; }
+    double utility(NodeId v) const override { return 1.0 + static_cast<double>(v); }
+    void neighbors(NodeId v, std::vector<graph::Edge>& out) const override {
+      out.clear();
+      if (v == 0) out = {{1, 0.5f}, {4, 0.25f}, {NodeId{1} << 40, 0.25f}};
+      if (v == 1) out = {{0, 0.5f}, {4, 0.25f}};
+    }
+  };
+
+  const GrownView ground_set;
+  const ObjectiveParams params{0.9, 0.1};
+  const std::vector<NodeId> members{0, 1, 2, 3};
+  SubproblemArena arena;
+  const Subproblem& sub =
+      materialize_subproblem(ground_set, members, params, nullptr, arena);
+  ASSERT_EQ(sub.offsets, (std::vector<std::int64_t>{0, 1, 2, 2, 2}));
+  EXPECT_EQ(sub.edges[0].neighbor, 1u);
+  EXPECT_EQ(sub.edges[1].neighbor, 0u);
+  const Subproblem& topology =
+      materialize_subproblem_topology(ground_set, members, arena);
+  EXPECT_EQ(topology.offsets, (std::vector<std::int64_t>{0, 1, 2, 2, 2}));
+}
+
 TEST(NaiveGreedy, EmptyBudget) {
   const Instance instance = random_instance(10, 2, 74);
   const auto ground_set = instance.ground_set();

@@ -8,7 +8,10 @@
 
 #include "common/rng.h"
 #include "core/objective.h"
+#include "data/synthetic.h"
+#include "data/utility_model.h"
 #include "graph/ground_set.h"
+#include "graph/knn.h"
 #include "graph/similarity_graph.h"
 
 namespace subsel::testing {
@@ -44,6 +47,33 @@ inline Instance random_instance(std::size_t n, std::size_t degree, std::uint64_t
   instance.graph = graph::SimilarityGraph::from_lists(lists).symmetrized();
   instance.utilities.resize(n);
   for (double& u : instance.utilities) u = rng.uniform(0.01, max_utility);
+  return instance;
+}
+
+/// kNN-structured instance shaped like the CIFAR proxy at small scale:
+/// clustered 16-d embeddings (one class per ~50 points), margin utilities
+/// from a coarse classifier, and the symmetrized exact 10-NN cosine graph.
+/// Unlike random_instance, selections here unlock their neighbors gradually,
+/// so approximate bounding runs dozens of Grow passes. Never cached on disk.
+inline Instance clustered_instance(std::size_t n, std::uint64_t seed) {
+  data::ClusteredEmbeddingConfig embeddings;
+  embeddings.num_points = n;
+  embeddings.dim = 16;
+  embeddings.num_classes = std::max<std::size_t>(2, n / 50);
+  embeddings.seed = seed;
+  const data::ClusteredEmbeddings generated =
+      data::generate_clustered_embeddings(embeddings);
+
+  data::CoarseClassifierConfig classifier_config;
+  classifier_config.seed = seed + 1;
+  const data::CoarseClassifier classifier(generated.centers, classifier_config);
+
+  graph::KnnConfig knn;
+  knn.num_neighbors = 10;
+  Instance instance;
+  instance.utilities = data::compute_margin_utilities(generated.points, classifier);
+  instance.graph = graph::build_similarity_graph(generated.points, knn,
+                                                 /*exact_threshold=*/n + 1);
   return instance;
 }
 
