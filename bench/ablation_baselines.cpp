@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   const std::size_t k = n / 10;
   const auto params = core::ObjectiveParams::from_alpha(0.9);
   const auto ground_set = dataset.ground_set();
-  core::PairwiseObjective objective(ground_set, params);
+  const core::PairwiseKernel kernel(ground_set, params);
+  const core::PairwiseObjective& objective = kernel.objective();
 
   std::printf("=== Ablation: selection algorithms (CIFAR proxy, %zu points,"
               " k=%zu, alpha=0.9) ===\n", n, k);
@@ -52,53 +53,49 @@ int main(int argc, char** argv) {
   report("centralized greedy (Alg. 2)", greedy.selected, timer.elapsed_seconds(), n);
 
   timer.reset();
-  const auto lazy = baselines::lazy_greedy(ground_set, params, k);
+  const auto lazy = baselines::lazy_greedy(kernel, k);
   report("lazy greedy (Minoux)", lazy.selected, timer.elapsed_seconds(), n);
 
   timer.reset();
-  const auto stochastic = baselines::stochastic_greedy(ground_set, params, k);
+  const auto stochastic = baselines::stochastic_greedy(kernel, k);
   report("stochastic greedy", stochastic.selected, timer.elapsed_seconds(), n);
 
   timer.reset();
-  const auto threshold = baselines::threshold_greedy(ground_set, params, k);
+  const auto threshold = baselines::threshold_greedy(kernel, k);
   report("threshold greedy", threshold.selected, timer.elapsed_seconds(), n);
 
   timer.reset();
-  baselines::SieveStreamingConfig sieve_config;
-  sieve_config.objective = params;
-  const auto sieve = baselines::sieve_streaming(ground_set, k, sieve_config);
+  const auto sieve =
+      baselines::sieve_streaming(kernel, k, baselines::SieveStreamingConfig{});
   report("SieveStreaming (1 pass)", sieve.selected, timer.elapsed_seconds(),
          sieve.peak_resident_elements);
 
   timer.reset();
-  baselines::SamplePruneConfig sp_config;
-  sp_config.objective = params;
-  const auto sp = baselines::sample_and_prune(ground_set, k, sp_config);
+  const auto sp =
+      baselines::sample_and_prune(kernel, k, baselines::SamplePruneConfig{});
   report("SAMPLE&PRUNE (Kumar et al.)", sp.selected, timer.elapsed_seconds(),
          sp.peak_resident_elements);
 
   timer.reset();
   const auto kcenter =
-      baselines::greedy_k_center(dataset.embeddings, ground_set, params, k);
+      baselines::greedy_k_center(dataset.embeddings, kernel, k);
   report("greedy k-center (diversity only)", kcenter.selected,
          timer.elapsed_seconds(), n);
 
   timer.reset();
   baselines::GreeDiConfig greedi_config;
-  greedi_config.objective = params;
   greedi_config.num_machines = 8;
-  const auto greedi = baselines::greedi(ground_set, k, greedi_config);
+  const auto greedi = baselines::greedi(kernel, k, greedi_config);
   report("RandGreeDi (central merge)", greedi.selected, timer.elapsed_seconds(),
          std::max(n / 8, greedi.merge_candidates));
 
   timer.reset();
   core::SelectionPipelineConfig pipeline_config;
-  pipeline_config.objective = params;
   pipeline_config.bounding.sampling = core::BoundingSampling::kUniform;
   pipeline_config.bounding.sample_fraction = 0.3;
   pipeline_config.greedy.num_machines = 8;
   pipeline_config.greedy.num_rounds = 8;
-  const auto ours = core::select_subset(ground_set, k, pipeline_config);
+  const auto ours = core::select_subset(kernel, k, pipeline_config);
   std::size_t ours_resident = n / 8;  // per-partition ground-set share
   for (const auto& round : ours.greedy_rounds) {
     ours_resident = std::max(ours_resident,

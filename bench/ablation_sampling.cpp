@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const std::size_t k = n / 10;
   const auto params = core::ObjectiveParams::from_alpha(0.9);
   const auto ground_set = dataset.ground_set();
+  const core::PairwiseKernel kernel(ground_set, params);
 
   const double centralized =
       core::centralized_greedy(dataset.graph, dataset.utilities, params, k)
@@ -44,13 +45,12 @@ int main(int argc, char** argv) {
         sampling == core::BoundingSampling::kUniform ? "uniform" : "weighted";
     for (const double p : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
       core::SelectionPipelineConfig config;
-      config.objective = params;
       config.bounding.sampling =
           p >= 1.0 ? core::BoundingSampling::kNone : sampling;
       config.bounding.sample_fraction = p;
       config.greedy.num_machines = 1;  // centralized completion isolates p
       config.greedy.num_rounds = 1;
-      const auto result = core::select_subset(ground_set, k, config);
+      const auto result = core::select_subset(kernel, k, config);
       const auto& bounding = *result.bounding;
       const double score = 100.0 * result.objective / centralized;
       std::printf("%-10s %8.1f %10zu %10zu %7zu %7zu %8.2f%%\n",

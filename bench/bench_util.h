@@ -200,6 +200,7 @@ inline HeatmapResult run_heatmap(const HeatmapSpec& spec) {
   const std::size_t k = static_cast<std::size_t>(
       spec.subset_fraction * static_cast<double>(dataset.size()));
   const auto ground_set = dataset.ground_set();
+  const core::PairwiseKernel kernel(ground_set, params);
 
   HeatmapResult result;
   result.centralized_objective =
@@ -211,13 +212,12 @@ inline HeatmapResult run_heatmap(const HeatmapSpec& spec) {
     result.objectives[p].resize(spec.rounds.size());
     for (std::size_t r = 0; r < spec.rounds.size(); ++r) {
       core::DistributedGreedyConfig config;
-      config.objective = params;
       config.num_machines = spec.partitions[p];
       config.num_rounds = spec.rounds[r];
       config.adaptive_partitioning = spec.adaptive;
       config.delta = core::linear_delta(spec.delta_gamma);
       config.seed = spec.seed + 1000 * p + r;
-      const auto run = core::distributed_greedy(ground_set, k, config);
+      const auto run = core::distributed_greedy(kernel, k, config);
       result.objectives[p][r] = run.objective;
       observed.push_back(run.objective);
     }

@@ -13,9 +13,11 @@ using namespace subsel;
 namespace {
 
 void print_state(const core::SelectionState& state, const graph::GroundSet& ground_set,
-                 const core::BoundingConfig& config, std::uint64_t salt) {
+                 core::ObjectiveParams params, const core::BoundingConfig& config,
+                 std::uint64_t salt) {
   std::vector<double> u_min, u_max;
-  core::detail::compute_utility_bounds(ground_set, state, config, salt, u_min, u_max);
+  core::detail::compute_utility_bounds(ground_set, params, state, config, salt, u_min,
+                                       u_max);
   std::printf("  %-6s %-12s %-10s %-10s\n", "point", "state", "Umin", "Umax");
   for (std::size_t i = 0; i < state.size(); ++i) {
     const auto v = static_cast<core::NodeId>(i);
@@ -44,8 +46,8 @@ int main() {
   const std::vector<double> utilities{1.0, 0.95, 0.30, 0.25, 0.85, 0.05};
   graph::InMemoryGroundSet ground_set(graph, utilities);
 
-  core::BoundingConfig config;
-  config.objective = core::ObjectiveParams{0.5, 0.5};
+  const core::ObjectiveParams params{0.5, 0.5};
+  const core::BoundingConfig config;
   const std::size_t k = 3;
 
   core::SelectionState state(6);
@@ -55,21 +57,21 @@ int main() {
   std::vector<double> u_max = utilities;
 
   std::printf("\ninitial bounds (k = %zu):\n", k_remaining);
-  print_state(state, ground_set, config, 0);
+  print_state(state, ground_set, params, config, 0);
 
   for (int pass = 1; pass <= 4 && k_remaining > 0; ++pass) {
     const std::size_t discarded =
-        core::shrink_step(ground_set, state, k_remaining, config, ++salt);
+        core::shrink_step(ground_set, params, state, k_remaining, config, ++salt);
     std::printf("\nshrink pass %d: discarded %zu point(s)\n", pass, discarded);
     const std::size_t grown =
-        core::grow_step(ground_set, state, k_remaining, u_max, config, ++salt);
+        core::grow_step(ground_set, params, state, k_remaining, u_max, config, ++salt);
     std::printf("grow pass %d: selected %zu point(s), k remaining %zu\n", pass, grown,
                 k_remaining);
-    print_state(state, ground_set, config, salt);
+    print_state(state, ground_set, params, config, salt);
     if (discarded == 0 && grown == 0) break;
   }
 
-  const auto result = core::bound(ground_set, k, config);
+  const auto result = core::bound(core::PairwiseKernel(ground_set, params), k, config);
   std::printf("\nfull Algorithm 5: included %zu, excluded %zu, grow/shrink rounds"
               " %zu/%zu, complete=%s\n",
               result.included, result.excluded, result.grow_rounds,

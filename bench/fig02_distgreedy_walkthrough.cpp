@@ -21,14 +21,15 @@ int main() {
   std::vector<double> utilities{0.9, 0.2, 0.7, 0.4, 0.8, 0.1, 0.6, 0.3, 0.95, 0.5};
   graph::InMemoryGroundSet ground_set(graph, utilities);
 
+  const core::ObjectiveParams params{0.9, 0.1};
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams{0.9, 0.1};
   config.num_machines = 3;
   config.num_rounds = 2;
   config.adaptive_partitioning = false;
   config.seed = 4;
 
-  const auto result = core::distributed_greedy(ground_set, 3, config);
+  const auto result =
+      core::distributed_greedy(core::PairwiseKernel(ground_set, params), 3, config);
   for (const auto& round : result.rounds) {
     std::printf("round %zu: |V_in|=%zu, target=%zu, partitions=%zu, |V_out|=%zu\n",
                 round.round, round.input_size, round.target_size,
@@ -39,7 +40,7 @@ int main() {
   std::printf("\nobjective f(S) = %.4f\n", result.objective);
 
   const auto centralized =
-      core::centralized_greedy(graph, utilities, config.objective, 3);
+      core::centralized_greedy(graph, utilities, params, 3);
   std::printf("centralized greedy objective = %.4f\n", centralized.objective);
   std::printf("paper shape: per-round partition -> per-partition greedy -> union,"
               " no centralized merge.\n");

@@ -118,6 +118,7 @@ int main(int argc, char** argv) {
   const auto projection = graph::pca_project_2d(dataset.embeddings);
   const auto ground_set = dataset.ground_set();
   const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
 
   CsvWriter csv(results_dir() + "/fig05_visualization.csv",
                 {"partitions", "node", "x", "y", "label", "selected"});
@@ -131,11 +132,10 @@ int main(int argc, char** argv) {
               .selected;
     } else {
       core::DistributedGreedyConfig config;
-      config.objective = params;
       config.num_machines = partitions;
       config.num_rounds = 1;
       config.adaptive_partitioning = false;
-      selected = core::distributed_greedy(ground_set, k, config).selected;
+      selected = core::distributed_greedy(kernel, k, config).selected;
     }
 
     std::printf("\n--- %zu partition(s), 1 round ---\n", partitions);

@@ -43,22 +43,22 @@ Grid run_grid(const data::Dataset& dataset, std::size_t k, const BoundingType& t
               std::vector<double>& observed) {
   const auto params = core::ObjectiveParams::from_alpha(0.9);
   const auto ground_set = dataset.ground_set();
+  const core::PairwiseKernel kernel(ground_set, params);
   const auto axis = paper_axis();
 
   std::optional<core::BoundingResult> bounding;
   if (type.fraction > 0.0) {  // "regular" (fraction 0) skips the pre-pass
     core::BoundingConfig config;
-    config.objective = params;
     config.sampling = type.sampling;
     config.sample_fraction = type.fraction;
-    bounding = core::bound(ground_set, k, config);
+    bounding = core::bound(kernel, k, config);
   }
 
   Grid grid(axis.size(), std::vector<double>(axis.size()));
   if (bounding.has_value() && bounding->complete()) {
     // Bounding solved the instance; every cell evaluates the same subset.
-    core::PairwiseObjective objective(ground_set, params);
-    const double value = objective.evaluate(bounding->state.selected_ids());
+    const double value =
+        kernel.objective().evaluate(bounding->state.selected_ids());
     for (auto& row : grid) {
       for (double& cell : row) cell = value;
     }
@@ -69,13 +69,12 @@ Grid run_grid(const data::Dataset& dataset, std::size_t k, const BoundingType& t
   for (std::size_t p = 0; p < axis.size(); ++p) {
     for (std::size_t r = 0; r < axis.size(); ++r) {
       core::DistributedGreedyConfig config;
-      config.objective = params;
       config.num_machines = axis[p];
       config.num_rounds = axis[r];
       config.adaptive_partitioning = true;
       config.seed = 31 + 1000 * p + r;
       const auto run = core::distributed_greedy(
-          ground_set, k, config, bounding.has_value() ? &bounding->state : nullptr);
+          kernel, k, config, bounding.has_value() ? &bounding->state : nullptr);
       grid[p][r] = run.objective;
       observed.push_back(run.objective);
     }

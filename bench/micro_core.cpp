@@ -177,33 +177,33 @@ void BM_HeapDecreaseWeight(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapDecreaseWeight)->Arg(1 << 10)->Arg(1 << 14);
 
-void BM_HeapDecreaseMany(benchmark::State& state) {
-  // Same workload as BM_HeapDecreaseWeight, applied in batches of 16 (one
-  // simulated pop's neighborhood) through the single-restore-pass API.
+void BM_HeapDecreaseEdges(benchmark::State& state) {
+  // Same workload as BM_HeapDecreaseWeight, applied in runs of 16 edges (one
+  // simulated pop's neighborhood) through the round loop's fused CSR-edge
+  // decrease.
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatch = 16;
   Rng rng(18);
   std::vector<double> priorities(n);
   for (double& p : priorities) p = 1.0 + rng.uniform();
-  std::vector<std::pair<core::AddressableMaxHeap::LocalId, double>> batch;
+  std::vector<core::Subproblem::LocalEdge> edges(n);
   core::AddressableMaxHeap heap;
   for (auto _ : state) {
     state.PauseTiming();
     heap.assign(priorities);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      edges[i] = {i, static_cast<float>(0.5 * rng.uniform())};
+    }
     state.ResumeTiming();
-    for (std::uint32_t i = 0; i < n; i += kBatch) {
-      batch.clear();
-      for (std::uint32_t j = i; j < std::min<std::size_t>(i + kBatch, n); ++j) {
-        batch.emplace_back(j, 0.5 * rng.uniform());
-      }
-      heap.decrease_many(batch);
+    for (std::size_t i = 0; i < n; i += kBatch) {
+      heap.decrease_edges(edges.data() + i, std::min(kBatch, n - i), 1.0);
     }
     benchmark::DoNotOptimize(heap.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_HeapDecreaseMany)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_HeapDecreaseEdges)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_CentralizedGreedy(benchmark::State& state) {
   const auto& dataset = shared_dataset(static_cast<std::size_t>(state.range(0)));
@@ -239,15 +239,15 @@ BENCHMARK(BM_ObjectiveEvaluate)->Arg(2000)->Arg(10000);
 void BM_UtilityBounds(benchmark::State& state) {
   const auto& dataset = shared_dataset(static_cast<std::size_t>(state.range(0)));
   const auto ground_set = dataset.ground_set();
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
   core::BoundingConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.sampling = core::BoundingSampling::kUniform;
   config.sample_fraction = 0.3;
   core::SelectionState selection(dataset.size());
   std::vector<double> u_min, u_max;
   for (auto _ : state) {
-    core::detail::compute_utility_bounds(ground_set, selection, config, 3, u_min,
-                                         u_max);
+    core::detail::compute_utility_bounds(ground_set, params, selection, config, 3,
+                                         u_min, u_max);
     benchmark::DoNotOptimize(u_min.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -747,15 +747,17 @@ int run_disk_hot_path(DiskHotPathConfig config, DiskHotPathReport& report) {
   paging_config.num_shards = config.shards;
   const graph::DiskGroundSet disk_set(graph_path, utilities, paging_config);
   core::DistributedGreedyConfig greedy;
-  greedy.objective = core::ObjectiveParams::from_alpha(0.9);
   greedy.num_machines = config.threads;
   greedy.num_rounds = 3;
   greedy.seed = config.seed;
   greedy.prefetch_depth = config.prefetch_depth;
   greedy.pool = &pool;
   const std::size_t k = std::max<std::size_t>(1, config.nodes / 10);
-  const auto from_disk = core::distributed_greedy(disk_set, k, greedy);
-  const auto from_memory = core::distributed_greedy(memory_set, k, greedy);
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const auto from_disk =
+      core::distributed_greedy(core::PairwiseKernel(disk_set, params), k, greedy);
+  const auto from_memory =
+      core::distributed_greedy(core::PairwiseKernel(memory_set, params), k, greedy);
   const bool identical = from_disk.selected == from_memory.selected &&
                          from_disk.objective == from_memory.objective;
 
@@ -1456,9 +1458,11 @@ int run_simd_matrix(SimdMatrixConfig config) {
     row.objective = std::string(kernel->name());
 
     // One solve-phase measurement: lazy (priority-queue) + sampled
-    // (stochastic) greedy through the flat incremental state, identical
-    // machinery on both sides — only the backend the state binds at
-    // construction differs.
+    // (stochastic) greedy through the kernel's partition gain engine,
+    // identical machinery on both sides — only the backend the state binds
+    // at construction differs. Pairwise keeps no incremental state: its
+    // engine is the closed form, which dispatches no vectorized op, so its
+    // row checks that forcing scalar leaves it unchanged.
     struct BackendRun {
       double lazy_ms = 0.0;
       double sampled_ms = 0.0;
@@ -1467,6 +1471,18 @@ int run_simd_matrix(SimdMatrixConfig config) {
     };
     const auto measure = [&](core::SubproblemArena& arena) {
       BackendRun run;
+      if (const core::ObjectiveParams* params = kernel->pairwise_params()) {
+        const core::Subproblem& sub = core::materialize_subproblem(
+            ground_set, members, *params, nullptr, arena);
+        Timer timer;
+        run.lazy = core::greedy_on_subproblem(sub, k, *params, arena);
+        run.lazy_ms = timer.elapsed_seconds() * 1e3;
+        timer.reset();
+        run.sampled = core::stochastic_greedy_on_subproblem(
+            sub, k, *params, kEpsilon, config.seed);
+        run.sampled_ms = timer.elapsed_seconds() * 1e3;
+        return run;
+      }
       const auto state = kernel->make_incremental_state(arena);
       core::Subproblem& sub =
           core::materialize_subproblem_topology(ground_set, members, arena);

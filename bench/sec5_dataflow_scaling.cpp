@@ -25,9 +25,10 @@ int main(int argc, char** argv) {
   const std::size_t n = dataset.size();
   const std::size_t k = n / 10;
   const auto ground_set = dataset.ground_set();
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
 
   core::BoundingConfig bounding_config;
-  bounding_config.objective = core::ObjectiveParams::from_alpha(0.9);
   bounding_config.sampling = core::BoundingSampling::kUniform;
   bounding_config.sample_fraction = 0.3;
 
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
 
   // Reference: in-memory bounding (whole instance resident on one machine).
   Timer timer;
-  const auto reference = core::bound(ground_set, k, bounding_config);
+  const auto reference = core::bound(kernel, k, bounding_config);
   const double reference_seconds = timer.elapsed_seconds();
   std::printf("\n%-28s %8s %12s %16s\n", "stage", "shards", "time", "peak/shard");
   std::printf("%-28s %8s %12s %16s\n", "in-memory bounding", "-",
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     options.num_shards = shards;
     dataflow::Pipeline pipeline(options);
     timer.reset();
-    const auto bounding = beam::beam_bound(pipeline, ground_set, k, bounding_config);
+    const auto bounding = beam::beam_bound(pipeline, kernel, k, bounding_config);
     const double seconds = timer.elapsed_seconds();
     std::printf("%-28s %8zu %12s %13.1f KB\n", "dataflow bounding", shards,
                 format_duration(seconds).c_str(),
@@ -70,9 +71,8 @@ int main(int argc, char** argv) {
   for (core::NodeId v = 0; v < static_cast<core::NodeId>(n); v += 10) {
     subset.push_back(v);
   }
-  core::PairwiseObjective objective(ground_set, bounding_config.objective);
   timer.reset();
-  const double in_memory_score = objective.evaluate(subset);
+  const double in_memory_score = kernel.objective().evaluate(subset);
   std::printf("%-28s %8s %12s %16s\n", "in-memory scoring", "-",
               format_duration(timer.elapsed_seconds()).c_str(), "whole instance");
   for (const std::size_t shards : {std::size_t{16}, std::size_t{256}}) {
@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
     options.num_shards = shards;
     dataflow::Pipeline pipeline(options);
     timer.reset();
-    const double score =
-        beam::beam_score(pipeline, ground_set, subset, bounding_config.objective);
+    const double score = beam::beam_score(pipeline, ground_set, subset, params);
     const double seconds = timer.elapsed_seconds();
     std::printf("%-28s %8zu %12s %13.1f KB\n", "dataflow scoring", shards,
                 format_duration(seconds).c_str(),
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
   // end-to-end selection at 256 shards.
   std::printf("\nend-to-end selection under per-worker budgets (256 shards):\n");
   core::SelectionPipelineConfig pipeline_config;
-  pipeline_config.objective = bounding_config.objective;
   pipeline_config.bounding = bounding_config;
   pipeline_config.greedy.num_machines = 16;
   pipeline_config.greedy.num_rounds = 4;
@@ -110,7 +108,7 @@ int main(int argc, char** argv) {
     timer.reset();
     try {
       const auto result =
-          beam::beam_select_subset(pipeline, ground_set, k, pipeline_config);
+          beam::beam_select_subset(pipeline, kernel, k, pipeline_config);
       std::printf("  budget %6zu KB: f(S)=%.2f, peak %7.1f KB, %s\n",
                   budget_kb, result.objective,
                   static_cast<double>(pipeline.peak_shard_bytes()) / 1e3,

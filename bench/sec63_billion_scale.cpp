@@ -28,15 +28,14 @@ struct GreedyRun {
   double seconds;
 };
 
-GreedyRun run_greedy(const data::PerturbedGroundSet& ground_set, std::size_t k,
+GreedyRun run_greedy(const core::ObjectiveKernel& kernel, std::size_t k,
                      std::size_t rounds, const core::SelectionState* initial) {
   Timer timer;
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 16;  // the paper's 16 partitions
   config.num_rounds = rounds;
   config.adaptive_partitioning = false;
-  const auto result = core::distributed_greedy(ground_set, k, config, initial);
+  const auto result = core::distributed_greedy(kernel, k, config, initial);
   return {rounds, result.objective, timer.elapsed_seconds()};
 }
 
@@ -51,6 +50,8 @@ int main(int argc, char** argv) {
   data::PerturbedConfig perturbed_config;
   perturbed_config.perturbations_per_point = perturbations;
   const data::PerturbedGroundSet ground_set(base, perturbed_config);
+  const core::PairwiseKernel kernel(ground_set,
+                                    core::ObjectiveParams::from_alpha(0.9));
   const std::size_t n = ground_set.num_points();
 
   std::printf("=== Section 6.3: billion-scale stress test (%zu virtual points,"
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     // Distributed greedy without bounding, 1/2/8 rounds (paper Sec. 6.3).
     double best_plain = 0.0;
     for (const std::size_t rounds : {1, 2, 8}) {
-      const GreedyRun run = run_greedy(ground_set, k, rounds, nullptr);
+      const GreedyRun run = run_greedy(kernel, k, rounds, nullptr);
       best_plain = std::max(best_plain, run.objective);
       std::printf("distributed greedy, %zu round(s): f(S) = %15.1f  (%s)\n",
                   run.rounds, run.objective, format_duration(run.seconds).c_str());
@@ -90,17 +91,16 @@ int main(int argc, char** argv) {
     for (const BoundingVariant& variant : variants) {
       Timer timer;
       core::BoundingConfig config;
-      config.objective = core::ObjectiveParams::from_alpha(0.9);
       config.sampling = variant.sampling;
       config.sample_fraction = variant.p;
-      auto bounding = core::bound(ground_set, k, config);
+      auto bounding = core::bound(kernel, k, config);
       const double bound_seconds = timer.elapsed_seconds();
       std::printf("%-16s included %8zu (%6.3f%%), excluded %8zu (%6.2f%%)  (%s)\n",
                   variant.name, bounding.included, 100.0 * bounding.included / n,
                   bounding.excluded, 100.0 * bounding.excluded / n,
                   format_duration(bound_seconds).c_str());
 
-      const GreedyRun after = run_greedy(ground_set, k, 8, &bounding.state);
+      const GreedyRun after = run_greedy(kernel, k, 8, &bounding.state);
       std::printf("%-16s + 8 rounds: f(S) = %15.1f (%.2f%% of plain 8-round)\n",
                   variant.name, after.objective,
                   100.0 * after.objective / best_plain);

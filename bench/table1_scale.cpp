@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
   data::PerturbedConfig perturbed_config;
   perturbed_config.perturbations_per_point = perturbations;
   const data::PerturbedGroundSet ground_set(base, perturbed_config);
+  const core::PairwiseKernel kernel(ground_set,
+                                    core::ObjectiveParams::from_alpha(0.9));
   const std::size_t n = ground_set.num_points();
   const auto k = static_cast<std::size_t>(0.5 * static_cast<double>(n));
 
@@ -63,10 +65,9 @@ int main(int argc, char** argv) {
 
   Timer timer;
   core::BoundingConfig bounding_config;
-  bounding_config.objective = core::ObjectiveParams::from_alpha(0.9);
   bounding_config.sampling = core::BoundingSampling::kUniform;
   bounding_config.sample_fraction = 0.3;
-  auto bounding = core::bound(ground_set, k, bounding_config);
+  auto bounding = core::bound(kernel, k, bounding_config);
   std::printf("approximate bounding (30%% uniform): included %zu (%.2f%%),"
               " excluded %zu (%.2f%%) in %s\n",
               bounding.included, 100.0 * bounding.included / n, bounding.excluded,
@@ -75,7 +76,6 @@ int main(int argc, char** argv) {
 
   timer.reset();
   core::DistributedGreedyConfig greedy_config;
-  greedy_config.objective = bounding_config.objective;
   greedy_config.num_machines = 16;
   greedy_config.num_rounds = 2;
   // When bounding solves the whole instance (it often does at 50 %, Table 2),
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   // column still reflects a real multi-round pass over the ground set.
   const core::SelectionState* initial =
       bounding.complete() ? nullptr : &bounding.state;
-  const auto result = core::distributed_greedy(ground_set, k, greedy_config, initial);
+  const auto result = core::distributed_greedy(kernel, k, greedy_config, initial);
   std::size_t peak = 0;
   for (const auto& round : result.rounds) {
     peak = std::max(peak, round.peak_partition_bytes);

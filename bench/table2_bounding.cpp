@@ -43,6 +43,7 @@ void run_dataset(const data::Dataset& dataset, double alpha, CsvWriter& csv) {
               "excluded", "grow", "shrink", "score%");
 
   const auto ground_set = dataset.ground_set();
+  const core::PairwiseKernel kernel(ground_set, params);
   for (const double fraction : {0.1, 0.5, 0.8}) {
     const auto k = static_cast<std::size_t>(fraction * dataset.size());
     const double centralized =
@@ -50,14 +51,13 @@ void run_dataset(const data::Dataset& dataset, double alpha, CsvWriter& csv) {
             .objective;
     for (const BoundingType& type : kTypes) {
       core::SelectionPipelineConfig config;
-      config.objective = params;
       config.use_bounding = true;
       config.bounding.sampling = type.sampling;
       config.bounding.sample_fraction = type.fraction;
       config.greedy.num_machines = 1;  // Table 2 scores vs 1 partition/1 round
       config.greedy.num_rounds = 1;
 
-      const auto result = core::select_subset(ground_set, k, config);
+      const auto result = core::select_subset(kernel, k, config);
       const auto& bounding = *result.bounding;
       const double score = centralized != 0.0
                                ? 100.0 * result.objective / centralized

@@ -17,14 +17,14 @@ double run_once(const data::Dataset& dataset, std::size_t k, std::size_t rounds,
                 bool adaptive, const std::vector<core::NodeId>* forced,
                 std::uint64_t seed) {
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 10;  // the paper's setup: 10 partitions for a 10 % subset
   config.num_rounds = rounds;
   config.adaptive_partitioning = adaptive;
   config.seed = seed;
   if (forced != nullptr) config.forced_first_partition = *forced;
   const auto ground_set = dataset.ground_set();
-  return core::distributed_greedy(ground_set, k, config).objective;
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
+  return core::distributed_greedy(kernel, k, config).objective;
 }
 
 }  // namespace

@@ -16,29 +16,27 @@ using namespace subsel::bench;
 
 namespace {
 
-double greedy_seconds(const data::PerturbedGroundSet& ground_set, std::size_t k,
+double greedy_seconds(const core::ObjectiveKernel& kernel, std::size_t k,
                       std::size_t rounds, const core::SelectionState* initial,
                       double* objective_out) {
   Timer timer;
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 16;
   config.num_rounds = rounds;
   config.adaptive_partitioning = false;
-  const auto result = core::distributed_greedy(ground_set, k, config, initial);
+  const auto result = core::distributed_greedy(kernel, k, config, initial);
   if (objective_out != nullptr) *objective_out = result.objective;
   return timer.elapsed_seconds();
 }
 
-core::BoundingResult run_bounding(const data::PerturbedGroundSet& ground_set,
+core::BoundingResult run_bounding(const core::ObjectiveKernel& kernel,
                                   std::size_t k, core::BoundingSampling sampling,
                                   double* seconds_out) {
   Timer timer;
   core::BoundingConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.sampling = sampling;
   config.sample_fraction = 0.3;
-  auto result = core::bound(ground_set, k, config);
+  auto result = core::bound(kernel, k, config);
   *seconds_out = timer.elapsed_seconds();
   return result;
 }
@@ -54,6 +52,8 @@ int main(int argc, char** argv) {
   data::PerturbedConfig perturbed_config;
   perturbed_config.perturbations_per_point = perturbations;
   const data::PerturbedGroundSet ground_set(base, perturbed_config);
+  const core::PairwiseKernel kernel(ground_set,
+                                    core::ObjectiveParams::from_alpha(0.9));
   const std::size_t n = ground_set.num_points();
   const std::size_t k10 = n / 10;
   const std::size_t k50 = n / 2;
@@ -69,26 +69,26 @@ int main(int argc, char** argv) {
   double objective = 0.0;
 
   // Approximate bounding alone (10 % subset, as in the paper's table).
-  auto uniform = run_bounding(ground_set, k10, core::BoundingSampling::kUniform,
+  auto uniform = run_bounding(kernel, k10, core::BoundingSampling::kUniform,
                               &seconds);
   std::printf("%-58s %12s %12s\n", "approximate bounding, uniform sampling",
               format_duration(seconds).c_str(), "-");
   csv.row("bounding_uniform", 0.1, seconds, 0.0);
   const double uniform_bound_seconds = seconds;
 
-  auto weighted = run_bounding(ground_set, k10, core::BoundingSampling::kWeighted,
+  auto weighted = run_bounding(kernel, k10, core::BoundingSampling::kWeighted,
                                &seconds);
   std::printf("%-58s %12s %12s\n", "approximate bounding, weighted sampling",
               format_duration(seconds).c_str(), "-");
   csv.row("bounding_weighted", 0.1, seconds, 0.0);
   const double weighted_bound_seconds = seconds;
 
-  seconds = greedy_seconds(ground_set, k10, 8, &uniform.state, &objective);
+  seconds = greedy_seconds(kernel, k10, 8, &uniform.state, &objective);
   std::printf("%-58s %12s %12s\n", "8 rounds distributed greedy after uniform bounding",
               format_duration(uniform_bound_seconds + seconds).c_str(), "-");
   csv.row("greedy8_after_uniform", 0.1, uniform_bound_seconds + seconds, objective);
 
-  seconds = greedy_seconds(ground_set, k10, 8, &weighted.state, &objective);
+  seconds = greedy_seconds(kernel, k10, 8, &weighted.state, &objective);
   std::printf("%-58s %12s %12s\n",
               "8 rounds distributed greedy after weighted bounding",
               format_duration(weighted_bound_seconds + seconds).c_str(), "-");
@@ -98,9 +98,9 @@ int main(int argc, char** argv) {
     char label[64];
     std::snprintf(label, sizeof(label), "%zu round(s) distributed greedy, no bounding",
                   rounds);
-    const double s10 = greedy_seconds(ground_set, k10, rounds, nullptr, &objective);
+    const double s10 = greedy_seconds(kernel, k10, rounds, nullptr, &objective);
     csv.row(label, 0.1, s10, objective);
-    const double s50 = greedy_seconds(ground_set, k50, rounds, nullptr, &objective);
+    const double s50 = greedy_seconds(kernel, k50, rounds, nullptr, &objective);
     csv.row(label, 0.5, s50, objective);
     std::printf("%-58s %12s %12s\n", label, format_duration(s10).c_str(),
                 format_duration(s50).c_str());

@@ -40,16 +40,12 @@ std::string effective_checkpoint_file(const DistributedOptions& options) {
 }
 
 /// Maps the request's option blocks onto the core round-loop config and wires
-/// in the context's shared state (pool, arenas, cancellation, progress) plus
-/// the objective kernel.
+/// in the context's shared state (pool, arenas, cancellation, progress).
 core::DistributedGreedyConfig greedy_config(const SelectionRequest& request,
                                             SolverContext& context,
-                                            const core::ObjectiveKernel& kernel,
                                             const core::ConstraintSet* constraints) {
   core::DistributedGreedyConfig config;
   config.constraints = constraints;
-  config.objective = request.objective;
-  config.kernel = &kernel;
   config.num_machines = request.distributed.num_machines;
   config.num_rounds = request.distributed.num_rounds;
   config.adaptive_partitioning = request.distributed.adaptive_partitioning;
@@ -70,11 +66,8 @@ core::DistributedGreedyConfig greedy_config(const SelectionRequest& request,
 
 core::SelectionPipelineConfig pipeline_config(const SelectionRequest& request,
                                               SolverContext& context,
-                                              const core::ObjectiveKernel& kernel,
                                               const core::ConstraintSet* constraints) {
   core::SelectionPipelineConfig config;
-  config.objective = request.objective;
-  config.kernel = &kernel;
   config.use_bounding = request.bounding.enabled;
   config.bounding.sampling = request.bounding.sampling;
   config.bounding.sample_fraction = request.bounding.sample_fraction;
@@ -82,7 +75,7 @@ core::SelectionPipelineConfig pipeline_config(const SelectionRequest& request,
   config.bounding.seed = request.seed;
   config.bounding.pool = context.pool();
   config.bounding.deadline = effective_deadline(request, context);
-  config.greedy = greedy_config(request, context, kernel, constraints);
+  config.greedy = greedy_config(request, context, constraints);
   return config;
 }
 
@@ -110,8 +103,8 @@ SelectionReport run_pipeline(const SelectionRequest& request,
                              const core::ConstraintSet* constraints) {
   SelectionReport report;
   absorb_pipeline_result(
-      core::select_subset(*request.ground_set, request.resolved_k(),
-                          pipeline_config(request, context, kernel, constraints)),
+      core::select_subset(kernel, request.resolved_k(),
+                          pipeline_config(request, context, constraints)),
       report);
   return report;
 }
@@ -120,9 +113,8 @@ SelectionReport run_distributed_greedy(const SelectionRequest& request,
                                        SolverContext& context,
                                        const core::ObjectiveKernel& kernel,
                                        const core::ConstraintSet* constraints) {
-  auto result = core::distributed_greedy(
-      *request.ground_set, request.resolved_k(),
-      greedy_config(request, context, kernel, constraints));
+  auto result = core::distributed_greedy(kernel, request.resolved_k(),
+                                         greedy_config(request, context, constraints));
   SelectionReport report;
   report.selected = std::move(result.selected);
   report.objective = result.objective;
@@ -149,10 +141,8 @@ SelectionReport run_dataflow(const SelectionRequest& request,
   dataflow::Pipeline pipeline(options);
   SelectionReport report;
   absorb_pipeline_result(
-      beam::beam_select_subset(pipeline, *request.ground_set,
-                               request.resolved_k(),
-                               pipeline_config(request, context, kernel,
-                                               constraints)),
+      beam::beam_select_subset(pipeline, kernel, request.resolved_k(),
+                               pipeline_config(request, context, constraints)),
       report);
   report.extra.emplace_back("peak_shard_bytes",
                             static_cast<double>(pipeline.peak_shard_bytes()));
@@ -164,14 +154,12 @@ SelectionReport run_greedi(const SelectionRequest& request, SolverContext& conte
                            const core::ConstraintSet* constraints,
                            baselines::PartitionScheme scheme) {
   baselines::GreeDiConfig config;
-  config.objective = request.objective;
-  config.kernel = &kernel;
   config.num_machines = request.distributed.num_machines;
   config.scheme = scheme;
   config.seed = request.seed;
   config.pool = context.pool();
   config.constraints = constraints;
-  auto result = baselines::greedi(*request.ground_set, request.resolved_k(), config);
+  auto result = baselines::greedi(kernel, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
   report.objective = result.objective;
@@ -218,16 +206,13 @@ SelectionReport run_sieve(const SelectionRequest& request, SolverContext& contex
                           const core::ObjectiveKernel& kernel,
                           const core::ConstraintSet* constraints) {
   baselines::SieveStreamingConfig config;
-  config.objective = request.objective;
-  config.kernel = &kernel;
   config.epsilon = request.streaming.epsilon;
   config.apply_monotonicity_offset = request.streaming.monotonicity_offset;
   config.seed = request.seed;
   config.deadline = effective_deadline(request, context);
   config.constraints = constraints;
   config.pool = context.pool();
-  auto result =
-      baselines::sieve_streaming(*request.ground_set, request.resolved_k(), config);
+  auto result = baselines::sieve_streaming(kernel, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
   report.objective = result.objective;
@@ -248,16 +233,13 @@ SelectionReport run_sample_and_prune(const SelectionRequest& request,
                                      const core::ObjectiveKernel& kernel,
                                      const core::ConstraintSet* constraints) {
   baselines::SamplePruneConfig config;
-  config.objective = request.objective;
-  config.kernel = &kernel;
   config.machine_capacity = request.sample_prune.machine_capacity;
   config.max_rounds = request.sample_prune.max_rounds;
   config.seed = request.seed;
   config.deadline = effective_deadline(request, context);
   config.constraints = constraints;
   config.pool = context.pool();
-  auto result =
-      baselines::sample_and_prune(*request.ground_set, request.resolved_k(), config);
+  auto result = baselines::sample_and_prune(kernel, request.resolved_k(), config);
   SelectionReport report;
   report.selected = std::move(result.selected);
   report.objective = result.objective;

@@ -21,11 +21,6 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
 
 }  // namespace
 
-GreedyResult random_selection(const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, std::uint64_t seed) {
-  return random_selection(core::PairwiseKernel(ground_set, params), k, seed);
-}
-
 GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
                               std::uint64_t seed,
                               const core::ConstraintSet* constraints,
@@ -59,15 +54,11 @@ GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
   return result;
 }
 
-GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
+GreeDiResult greedi(const ObjectiveKernel& kernel, std::size_t k,
                     const GreeDiConfig& config) {
-  const std::size_t n = ground_set.num_points();
+  const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
   const std::size_t m = std::max<std::size_t>(1, config.num_machines);
-
-  std::optional<core::PairwiseKernel> local_kernel;
-  const ObjectiveKernel& kernel = core::resolve_kernel(
-      config.kernel, ground_set, config.objective, local_kernel);
 
   // Partition the ground set.
   std::vector<NodeId> ids(n);
@@ -98,7 +89,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   pool_or_global(config.pool).parallel_for(m, [&](std::size_t p) {
     core::SubproblemArenaPool::Lease arena(arena_pool);
     GreedyResult local = core::solve_partition(
-        ground_set, partitions[p], k, kernel, nullptr, *arena,
+        kernel, partitions[p], k, nullptr, *arena,
         core::PartitionSolver::kPriorityQueue,
         /*stochastic_epsilon=*/0.1, config.seed, nullptr, nullptr,
         config.constraints);
@@ -120,7 +111,7 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
   // so per-partition selections that jointly over-commit a global budget are
   // rounded back down to a feasible final selection.
   GreedyResult merged = core::solve_partition(
-      ground_set, merge_input, k, kernel, nullptr, *merge_arena,
+      kernel, merge_input, k, nullptr, *merge_arena,
       core::PartitionSolver::kPriorityQueue, /*stochastic_epsilon=*/0.1,
       config.seed, &result.merge_bytes, nullptr, config.constraints);
   atomic_fetch_max(peak_bytes, merged.materialized_bytes);
@@ -136,8 +127,8 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
 }
 
 KCenterResult greedy_k_center(const graph::EmbeddingMatrix& embeddings,
-                              const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, NodeId first_center) {
+                              const ObjectiveKernel& kernel, std::size_t k,
+                              NodeId first_center) {
   const std::size_t n = embeddings.rows();
   k = std::min(k, n);
   KCenterResult result;
@@ -174,16 +165,8 @@ KCenterResult greedy_k_center(const graph::EmbeddingMatrix& embeddings,
   }
 
   std::sort(result.selected.begin(), result.selected.end());
-  core::PairwiseObjective objective(ground_set, params);
-  result.objective = objective.evaluate(result.selected);
+  result.objective = kernel.evaluate(std::span<const NodeId>(result.selected));
   return result;
-}
-
-GreedyResult lazy_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                         std::size_t k) {
-  // singleton_value(v) is exactly the α·u(v) the pre-kernel implementation
-  // seeded its queue with, so this delegation is bit-identical.
-  return lazy_greedy(core::PairwiseKernel(ground_set, params), k);
 }
 
 GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
@@ -244,12 +227,6 @@ GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
   result.materialized_bytes = engine.materialized_bytes();
   result.kernel_state_bytes = engine.kernel_state_bytes();
   return result;
-}
-
-GreedyResult stochastic_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                               std::size_t k, double epsilon, std::uint64_t seed) {
-  return stochastic_greedy(core::PairwiseKernel(ground_set, params), k, epsilon,
-                           seed);
 }
 
 GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,

@@ -32,18 +32,14 @@ using core::ObjectiveKernel;
 using core::ObjectiveParams;
 using graph::GroundSet;
 
-// Every baseline exists in two spellings: the historical pairwise one
-// (ObjectiveParams) and the kernel one. The pairwise overloads construct a
-// PairwiseKernel and delegate, with arithmetic chosen so selections and
-// objectives are bit-identical to the pre-kernel implementations.
+// Every baseline takes the objective as a kernel and reads the ground set
+// from kernel.ground_set(); pairwise runs pass a core::PairwiseKernel.
 
 /// Uniform random subset of size k (without replacement), with its exact
 /// objective f(S) (evaluated on `pool`, nullptr = the global pool).
 /// Constrained runs take the feasible prefix of a random permutation instead
 /// (still uniform over the sampling order; may return fewer than k elements
 /// when the budgets bind).
-GreedyResult random_selection(const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, std::uint64_t seed);
 GreedyResult random_selection(const ObjectiveKernel& kernel, std::size_t k,
                               std::uint64_t seed,
                               const core::ConstraintSet* constraints = nullptr,
@@ -55,11 +51,6 @@ enum class PartitionScheme : std::uint8_t {
 };
 
 struct GreeDiConfig {
-  ObjectiveParams objective;
-  /// Objective kernel; non-owning, must outlive the run and be bound to the
-  /// ground set passed to greedi(). When set it overrides `objective`
-  /// (pairwise kernels run the identical closed-form per-partition path).
-  const ObjectiveKernel* kernel = nullptr;
   std::size_t num_machines = 8;
   PartitionScheme scheme = PartitionScheme::kRandom;
   std::uint64_t seed = 29;
@@ -84,9 +75,9 @@ struct GreeDiResult {
   std::size_t peak_state_bytes = 0;
 };
 
-/// GreeDi / RandGreeDi: per-partition greedy selecting k each, then
-/// centralized greedy over the union.
-GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
+/// GreeDi / RandGreeDi over kernel.ground_set(): per-partition greedy
+/// selecting k each, then centralized greedy over the union.
+GreeDiResult greedi(const ObjectiveKernel& kernel, std::size_t k,
                     const GreeDiConfig& config);
 
 /// Lazy greedy (Minoux): max-heap of stale marginal gains, re-evaluated only
@@ -101,8 +92,6 @@ GreeDiResult greedi(const GroundSet& ground_set, std::size_t k,
 /// itself the exact lazy-greedy answer for its own size).
 /// With `constraints`, an infeasible heap pop is dropped permanently
 /// (monotone infeasibility) and the run may legally return fewer than k.
-GreedyResult lazy_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                         std::size_t k);
 GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
                          Deadline deadline = {},
                          const core::ConstraintSet* constraints = nullptr);
@@ -112,9 +101,6 @@ GreedyResult lazy_greedy(const ObjectiveKernel& kernel, std::size_t k,
 /// std::invalid_argument unless epsilon is in (0, 1).
 /// `deadline` is checked once per step; an expired run returns the prefix
 /// picked so far with `degraded` set.
-GreedyResult stochastic_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                               std::size_t k, double epsilon = 0.1,
-                               std::uint64_t seed = 31);
 GreedyResult stochastic_greedy(const ObjectiveKernel& kernel, std::size_t k,
                                double epsilon = 0.1, std::uint64_t seed = 31,
                                Deadline deadline = {},
@@ -129,12 +115,13 @@ struct KCenterResult {
   std::vector<NodeId> selected;  // ascending, size min(k, n)
   /// max over points of the distance to the nearest selected center.
   double radius = 0.0;
-  /// f(selected) under `params`, for apples-to-apples score comparisons.
+  /// f(selected) under `kernel`, for apples-to-apples score comparisons.
   double objective = 0.0;
 };
 
+/// `embeddings` row i embeds point i of kernel.ground_set().
 KCenterResult greedy_k_center(const graph::EmbeddingMatrix& embeddings,
-                              const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, NodeId first_center = 0);
+                              const ObjectiveKernel& kernel, std::size_t k,
+                              NodeId first_center = 0);
 
 }  // namespace subsel::baselines

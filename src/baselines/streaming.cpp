@@ -13,8 +13,6 @@
 namespace subsel::baselines {
 namespace {
 
-using core::PairwiseKernel;
-
 /// The sieve's monotonicity machinery, in two arithmetics:
 ///  - pairwise kernels keep the pre-kernel shifted-utilities form — the
 ///    per-element shift is α·((u(v)+δ) − u(v)), evaluated with exactly the
@@ -65,12 +63,6 @@ struct GainShift {
 };
 
 }  // namespace
-
-GreedyResult threshold_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, double epsilon) {
-  // singleton_value(v) = α·u(v) exactly — the delegation is bit-identical.
-  return threshold_greedy(PairwiseKernel(ground_set, params), k, epsilon);
-}
 
 GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
                               double epsilon, Deadline deadline,
@@ -183,17 +175,14 @@ GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
   return result;
 }
 
-SieveStreamingResult sieve_streaming(const GroundSet& ground_set, std::size_t k,
+SieveStreamingResult sieve_streaming(const ObjectiveKernel& kernel, std::size_t k,
                                      const SieveStreamingConfig& config) {
-  const std::size_t n = ground_set.num_points();
+  const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
   SieveStreamingResult result;
   core::validate_epsilon(config.epsilon, "sieve_streaming");
   if (k == 0 || n == 0) return result;
 
-  std::optional<PairwiseKernel> local_kernel;
-  const ObjectiveKernel& kernel = core::resolve_kernel(
-      config.kernel, ground_set, config.objective, local_kernel);
   const GainShift shift(kernel, config.apply_monotonicity_offset);
 
   const core::ConstraintSet* constraints =
@@ -287,16 +276,12 @@ SieveStreamingResult sieve_streaming(const GroundSet& ground_set, std::size_t k,
   return result;
 }
 
-SamplePruneResult sample_and_prune(const GroundSet& ground_set, std::size_t k,
+SamplePruneResult sample_and_prune(const ObjectiveKernel& kernel, std::size_t k,
                                    const SamplePruneConfig& config) {
-  const std::size_t n = ground_set.num_points();
+  const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
   SamplePruneResult result;
   if (k == 0 || n == 0) return result;
-
-  std::optional<PairwiseKernel> local_kernel;
-  const ObjectiveKernel& kernel = core::resolve_kernel(
-      config.kernel, ground_set, config.objective, local_kernel);
 
   const std::size_t capacity =
       config.machine_capacity > 0 ? config.machine_capacity : 4 * k;

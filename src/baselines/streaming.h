@@ -14,10 +14,10 @@
 //    marginal gain can no longer qualify}. Assumes O(k · n^δ) memory on the
 //    coordinating machine.
 //
-// All three maximize the same pairwise submodular objective as core::. Their
-// theory assumes monotone f; for α well below 1 the pairwise objective can
-// be non-monotone, in which case callers should enable the Appendix-A
-// monotonicity offset (threshold/sieve acceptance tests do).
+// All three maximize the same kernels as core::. Their theory assumes
+// monotone f; for α well below 1 the pairwise objective can be non-monotone,
+// in which case callers should enable the Appendix-A monotonicity offset
+// (threshold/sieve acceptance tests do).
 #pragma once
 
 #include <cstdint>
@@ -38,10 +38,9 @@ using core::ObjectiveKernel;
 using core::ObjectiveParams;
 using graph::GroundSet;
 
-// All three baselines work against any submodular ObjectiveKernel: they only
-// need singleton values, marginal gains, and (for the sieve) the
-// monotonicity gain offset. The ObjectiveParams spellings delegate through a
-// PairwiseKernel bit-identically.
+// All three baselines work against any submodular ObjectiveKernel and read
+// the ground set from kernel.ground_set(): they only need singleton values,
+// marginal gains, and (for the sieve) the monotonicity gain offset.
 
 /// Threshold greedy: for w = d, d(1−ε), d(1−ε)², …, εd/n (d = the maximum
 /// singleton value), add every element whose marginal gain is ≥ w until k
@@ -51,17 +50,11 @@ using graph::GroundSet;
 /// expired run returns the elements accepted so far with `degraded` set.
 /// With `constraints`, infeasible candidates are skipped in the sweep and the
 /// tail fill; the run may legally return fewer than k elements.
-GreedyResult threshold_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                              std::size_t k, double epsilon = 0.1);
 GreedyResult threshold_greedy(const ObjectiveKernel& kernel, std::size_t k,
                               double epsilon = 0.1, Deadline deadline = {},
                               const core::ConstraintSet* constraints = nullptr);
 
 struct SieveStreamingConfig {
-  ObjectiveParams objective;
-  /// Objective kernel; non-owning, must outlive the run and be bound to the
-  /// ground set passed to sieve_streaming(). Overrides `objective` when set.
-  const ObjectiveKernel* kernel = nullptr;
   /// Threshold grid ratio (1+ε); must be in (0, 1).
   double epsilon = 0.1;
   /// Add the Appendix-A δ offset to every utility so the monotone analysis
@@ -94,15 +87,12 @@ struct SieveStreamingResult {
   bool degraded = false;
 };
 
-/// One pass of SieveStreaming over a random permutation of the ground set.
-SieveStreamingResult sieve_streaming(const GroundSet& ground_set, std::size_t k,
+/// One pass of SieveStreaming over a random permutation of
+/// kernel.ground_set().
+SieveStreamingResult sieve_streaming(const ObjectiveKernel& kernel, std::size_t k,
                                      const SieveStreamingConfig& config);
 
 struct SamplePruneConfig {
-  ObjectiveParams objective;
-  /// Objective kernel; non-owning, must outlive the run and be bound to the
-  /// ground set passed to sample_and_prune(). Overrides `objective` when set.
-  const ObjectiveKernel* kernel = nullptr;
   /// Elements the coordinating machine can hold per round — the paper's
   /// O(k·n^δ) memory assumption, surfaced as an explicit cap.
   std::size_t machine_capacity = 0;  // 0 -> 4·k
@@ -137,13 +127,13 @@ struct SamplePruneResult {
   bool degraded = false;
 };
 
-/// SAMPLE&PRUNE: per round, draw a uniform sample of the surviving elements
-/// onto the coordinating machine, extend the running solution with the
-/// centralized greedy, then prune every surviving element whose marginal
-/// gain w.r.t. the extended solution falls below the smallest gain the
-/// greedy accepted this round (by submodularity such elements can never
-/// outrank the accepted ones later).
-SamplePruneResult sample_and_prune(const GroundSet& ground_set, std::size_t k,
+/// SAMPLE&PRUNE over kernel.ground_set(): per round, draw a uniform sample
+/// of the surviving elements onto the coordinating machine, extend the
+/// running solution with the centralized greedy, then prune every surviving
+/// element whose marginal gain w.r.t. the extended solution falls below the
+/// smallest gain the greedy accepted this round (by submodularity such
+/// elements can never outrank the accepted ones later).
+SamplePruneResult sample_and_prune(const ObjectiveKernel& kernel, std::size_t k,
                                    const SamplePruneConfig& config);
 
 }  // namespace subsel::baselines

@@ -83,8 +83,8 @@ namespace subsel::beam {
 
 dataflow::PCollection<std::pair<NodeId, UtilityBounds>> compute_bounds_collection(
     dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-    const SelectionState& state, const BoundingConfig& config,
-    std::uint64_t round_salt) {
+    core::ObjectiveParams params, const SelectionState& state,
+    const BoundingConfig& config, std::uint64_t round_salt) {
   auto fanned = fanned_neighbor_graph(pipeline, ground_set);
   auto solution =
       membership_collection(pipeline, ground_set, state, core::PointState::kSelected);
@@ -107,8 +107,9 @@ dataflow::PCollection<std::pair<NodeId, UtilityBounds>> compute_bounds_collectio
   // neighborhood into (Umin|Uexp, Umax).
   auto with_utilities = dataflow::co_group_by_key(four_tuples, unassigned);
   const BoundingConfig cfg = config;  // captured by value in the ParDo
+  const double pair_scale = params.pair_scale();
   return dataflow::flat_map<std::pair<NodeId, UtilityBounds>>(
-      with_utilities, [cfg, round_salt](const auto& row, auto emit) {
+      with_utilities, [cfg, pair_scale, round_salt](const auto& row, auto emit) {
         if (row.right.empty()) return;  // b is selected or discarded
         const NodeId b = row.key;
         const double u = row.right.front();
@@ -128,7 +129,6 @@ dataflow::PCollection<std::pair<NodeId, UtilityBounds>> compute_bounds_collectio
           mean_weight /= static_cast<double>(edges.size());
         }
 
-        const double pair_scale = cfg.objective.pair_scale();
         UtilityBounds bounds{u, u};
         for (const EdgeInfo& e : edges) {
           if (e.neighbor_selected) {
@@ -144,10 +144,11 @@ dataflow::PCollection<std::pair<NodeId, UtilityBounds>> compute_bounds_collectio
 }
 
 std::size_t beam_grow_step(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                           SelectionState& state, std::size_t& k_remaining,
-                           const BoundingConfig& config, std::uint64_t round_salt) {
+                           core::ObjectiveParams params, SelectionState& state,
+                           std::size_t& k_remaining, const BoundingConfig& config,
+                           std::uint64_t round_salt) {
   if (k_remaining == 0) return 0;
-  auto bounds = compute_bounds_collection(pipeline, ground_set, state, config,
+  auto bounds = compute_bounds_collection(pipeline, ground_set, params, state, config,
                                           round_salt);
   auto max_values = dataflow::map<double>(
       bounds, [](const auto& record) { return record.second.u_max; });
@@ -171,9 +172,10 @@ std::size_t beam_grow_step(dataflow::Pipeline& pipeline, const GroundSet& ground
 }
 
 std::size_t beam_shrink_step(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                             SelectionState& state, std::size_t k_remaining,
-                             const BoundingConfig& config, std::uint64_t round_salt) {
-  auto bounds = compute_bounds_collection(pipeline, ground_set, state, config,
+                             core::ObjectiveParams params, SelectionState& state,
+                             std::size_t k_remaining, const BoundingConfig& config,
+                             std::uint64_t round_salt) {
+  auto bounds = compute_bounds_collection(pipeline, ground_set, params, state, config,
                                           round_salt);
   auto min_values = dataflow::map<double>(
       bounds, [](const auto& record) { return record.second.u_min; });
@@ -189,8 +191,12 @@ std::size_t beam_shrink_step(dataflow::Pipeline& pipeline, const GroundSet& grou
   return discards.size();
 }
 
-BoundingResult beam_bound(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                          std::size_t k, const BoundingConfig& config) {
+BoundingResult beam_bound(dataflow::Pipeline& pipeline,
+                          const core::ObjectiveKernel& kernel, std::size_t k,
+                          const BoundingConfig& config) {
+  const core::ObjectiveParams params =
+      core::detail::bounding_params(kernel, "beam_bound");
+  const GroundSet& ground_set = kernel.ground_set();
   const std::size_t n = ground_set.num_points();
   BoundingResult result;
   result.state = SelectionState(n);
@@ -230,8 +236,9 @@ BoundingResult beam_bound(dataflow::Pipeline& pipeline, const GroundSet& ground_
     for (;;) {
       if (out_of_time()) break;
       ++result.shrink_rounds;
-      const std::size_t changed = beam_shrink_step(
-          pipeline, ground_set, result.state, result.k_remaining, config, ++salt);
+      const std::size_t changed =
+          beam_shrink_step(pipeline, ground_set, params, result.state,
+                           result.k_remaining, config, ++salt);
       shrink_changes += changed;
       if (changed == 0 || ++total_rounds >= config.max_rounds) break;
     }
@@ -244,8 +251,9 @@ BoundingResult beam_bound(dataflow::Pipeline& pipeline, const GroundSet& ground_
     for (;;) {
       if (out_of_time()) break;
       ++result.grow_rounds;
-      const std::size_t changed = beam_grow_step(
-          pipeline, ground_set, result.state, result.k_remaining, config, ++salt);
+      const std::size_t changed =
+          beam_grow_step(pipeline, ground_set, params, result.state,
+                         result.k_remaining, config, ++salt);
       grow_changes += changed;
       if (changed == 0 || result.k_remaining == 0 ||
           ++total_rounds >= config.max_rounds) {

@@ -46,25 +46,31 @@ struct UtilityBounds {
 };
 
 /// Steps 1-3 above: per-unassigned-point (Umin|Uexp, Umax) as a distributed
-/// collection.
+/// collection, with pair_scale() = β/α taken from `params` (like the
+/// core::bound pass helpers).
 dataflow::PCollection<std::pair<NodeId, UtilityBounds>> compute_bounds_collection(
     dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-    const SelectionState& state, const BoundingConfig& config,
-    std::uint64_t round_salt);
+    core::ObjectiveParams params, const SelectionState& state,
+    const BoundingConfig& config, std::uint64_t round_salt);
 
 /// One distributed Grow pass (Alg. 3); returns #selected.
 std::size_t beam_grow_step(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                           SelectionState& state, std::size_t& k_remaining,
-                           const BoundingConfig& config, std::uint64_t round_salt);
+                           core::ObjectiveParams params, SelectionState& state,
+                           std::size_t& k_remaining, const BoundingConfig& config,
+                           std::uint64_t round_salt);
 
 /// One distributed Shrink pass (Alg. 4); returns #discarded.
 std::size_t beam_shrink_step(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                             SelectionState& state, std::size_t k_remaining,
-                             const BoundingConfig& config, std::uint64_t round_salt);
+                             core::ObjectiveParams params, SelectionState& state,
+                             std::size_t k_remaining, const BoundingConfig& config,
+                             std::uint64_t round_salt);
 
-/// Full Algorithm 5 on the dataflow substrate. Mirrors core::bound exactly
-/// (same alternation, salts, and convergence detection).
-BoundingResult beam_bound(dataflow::Pipeline& pipeline, const GroundSet& ground_set,
-                          std::size_t k, const BoundingConfig& config);
+/// Full Algorithm 5 on the dataflow substrate over kernel.ground_set().
+/// Mirrors core::bound exactly (same alternation, salts, and convergence
+/// detection), and like it throws std::invalid_argument unless
+/// kernel.pairwise_params() is set.
+BoundingResult beam_bound(dataflow::Pipeline& pipeline,
+                          const core::ObjectiveKernel& kernel, std::size_t k,
+                          const BoundingConfig& config);
 
 }  // namespace subsel::beam

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -36,20 +35,14 @@ std::size_t partition_of(NodeId id, std::uint64_t seed, std::size_t round,
 }  // namespace
 
 core::DistributedGreedyResult beam_distributed_greedy(
-    Pipeline& pipeline, const graph::GroundSet& ground_set, std::size_t k,
+    Pipeline& pipeline, const core::ObjectiveKernel& kernel, std::size_t k,
     const BeamGreedyConfig& config, const core::SelectionState* initial) {
   if (config.num_machines == 0 || config.num_rounds == 0) {
     throw std::invalid_argument(
         "beam_distributed_greedy: machines and rounds must be >= 1");
   }
-  const std::size_t n = ground_set.num_points();
+  const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
-
-  // Resolve the objective exactly like core::distributed_greedy: an explicit
-  // kernel wins, otherwise the legacy pairwise params.
-  std::optional<core::PairwiseKernel> local_kernel;
-  const core::ObjectiveKernel& kernel = core::resolve_kernel(
-      config.kernel, ground_set, config.objective, local_kernel);
 
   // Survivor source: every unassigned id (all ids when no bounding state).
   std::vector<NodeId> pre_selected;
@@ -141,15 +134,13 @@ core::DistributedGreedyResult beam_distributed_greedy(
       std::atomic<std::size_t> peak_bytes{0};
       std::atomic<std::size_t> peak_state_bytes{0};
       survivors = dataflow::flat_map<NodeId>(
-          partitions, [&ground_set, &peak_bytes, &peak_state_bytes, initial,
-                       &kernel, solver, stochastic_epsilon, seed, round,
-                       per_partition_target, &pipeline,
-                       &arena_pool](const auto& row, auto emit) {
+          partitions, [&peak_bytes, &peak_state_bytes, initial, &kernel, solver,
+                       stochastic_epsilon, seed, round, per_partition_target,
+                       &pipeline, &arena_pool](const auto& row, auto emit) {
             core::SubproblemArenaPool::Lease arena(arena_pool);
             core::GreedyResult local = core::solve_partition(
-                ground_set, std::span<const NodeId>(row.second),
-                per_partition_target, kernel, initial, *arena, solver,
-                stochastic_epsilon,
+                kernel, std::span<const NodeId>(row.second), per_partition_target,
+                initial, *arena, solver, stochastic_epsilon,
                 hash_combine(seed, 0x9e37ULL * round + row.first));
             // The worker's working set: the subproblem CSR plus any flat
             // kernel state behind it.

@@ -29,12 +29,12 @@ namespace subsel::beam {
 
 using BeamGreedyConfig = core::DistributedGreedyConfig;
 
-/// Runs Algorithm 6 as a dataflow pipeline; selects exactly min(k, |open|)
-/// points. If `initial` is given (state left by bounding), its selected
-/// points are kept and condition per-partition utilities, its discarded
-/// points are never reconsidered.
+/// Runs Algorithm 6 as a dataflow pipeline over kernel.ground_set() under
+/// `kernel`; selects exactly min(k, |open|) points. If `initial` is given
+/// (state left by bounding), its selected points are kept and condition
+/// per-partition utilities, its discarded points are never reconsidered.
 core::DistributedGreedyResult beam_distributed_greedy(
-    dataflow::Pipeline& pipeline, const graph::GroundSet& ground_set, std::size_t k,
+    dataflow::Pipeline& pipeline, const core::ObjectiveKernel& kernel, std::size_t k,
     const BeamGreedyConfig& config, const core::SelectionState* initial = nullptr);
 
 }  // namespace subsel::beam

@@ -1,6 +1,5 @@
 #include "beam/beam_pipeline.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -11,44 +10,29 @@
 namespace subsel::beam {
 
 SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
-                                           const graph::GroundSet& ground_set,
+                                           const core::ObjectiveKernel& kernel,
                                            std::size_t k,
-                                           SelectionPipelineConfig config) {
+                                           const SelectionPipelineConfig& config) {
   // A bounding-only run is scored with the Section 5 joins, which exist only
   // for the edge-decomposable pairwise form. Rejecting other kernels here
   // keeps the core layer in exact agreement with the API's
   // needs_distributed_scoring rule (same combinations, same verdict); the
   // kernel-generic round loops remain reachable through
   // beam_distributed_greedy directly.
-  const core::ObjectiveKernel* kernel = config.kernel;
-  if (kernel != nullptr) {
-    if (!kernel->caps().distributed_scoring) {
-      throw std::invalid_argument(
-          "beam_select_subset: distributed scoring needs an edge-decomposable"
-          " objective (kernel \"" +
-          std::string(kernel->name()) +
-          "\" has none); use core::select_subset or beam_distributed_greedy"
-          " for this kernel");
-    }
-    if (const core::ObjectiveParams* params = kernel->pairwise_params()) {
-      config.objective = *params;
-    } else if (config.use_bounding) {
-      throw std::invalid_argument(
-          "beam_select_subset: the bounding pre-pass requires an objective"
-          " with utility-bound support (kernel \"" +
-          std::string(kernel->name()) +
-          "\" has none); disable bounding to run this kernel");
-    }
+  if (!kernel.caps().distributed_scoring) {
+    throw std::invalid_argument(
+        "beam_select_subset: distributed scoring needs an edge-decomposable"
+        " objective (kernel \"" +
+        std::string(kernel.name()) +
+        "\" has none); use core::select_subset or beam_distributed_greedy"
+        " for this kernel");
   }
-  config.bounding.objective = config.objective;
-  config.greedy.objective = config.objective;
-  config.greedy.kernel = config.kernel;
 
   SelectionPipelineResult result;
   const core::SelectionState* initial = nullptr;
   if (config.use_bounding) {
     Timer timer;
-    result.bounding = beam_bound(pipeline, ground_set, k, config.bounding);
+    result.bounding = beam_bound(pipeline, kernel, k, config.bounding);
     result.bounding_seconds = timer.elapsed_seconds();
     initial = &result.bounding->state;
     if (result.bounding->degraded) {
@@ -60,15 +44,16 @@ SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
   }
 
   if (initial != nullptr && result.bounding->complete()) {
+    // beam_bound ran, so the kernel has pairwise params.
     result.selected = initial->selected_ids();
-    result.objective =
-        beam_score(pipeline, ground_set, result.selected, config.objective);
+    result.objective = beam_score(pipeline, kernel.ground_set(), result.selected,
+                                  *kernel.pairwise_params());
     return result;
   }
 
   Timer timer;
   core::DistributedGreedyResult greedy =
-      beam_distributed_greedy(pipeline, ground_set, k, config.greedy, initial);
+      beam_distributed_greedy(pipeline, kernel, k, config.greedy, initial);
   result.greedy_seconds = timer.elapsed_seconds();
   result.selected = std::move(greedy.selected);
   // The round loop already evaluated f(S) exactly; score it only once.

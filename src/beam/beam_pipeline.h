@@ -16,15 +16,16 @@ namespace subsel::beam {
 using core::SelectionPipelineConfig;
 using core::SelectionPipelineResult;
 
-/// Dataflow counterpart of core::select_subset: same config and result
-/// shapes, every stage on `pipeline`. The bounding stage produces decisions
-/// bit-identical to core::bound; the greedy stage differs only in partition
-/// randomness (see beam_greedy.h). The objective is the round loop's exact
-/// f(S), or — when bounding alone decides the subset — the Section 5
-/// distributed scoring joins; either way f(S) is computed once.
+/// Dataflow counterpart of core::select_subset: same kernel, config and
+/// result shapes, every stage on `pipeline`. The bounding stage produces
+/// decisions bit-identical to core::bound; the greedy stage differs only in
+/// partition randomness (see beam_greedy.h). The objective is the round
+/// loop's exact f(S), or — when bounding alone decides the subset — the
+/// Section 5 distributed scoring joins; either way f(S) is computed once.
+/// Throws std::invalid_argument for a kernel without caps().distributed_scoring.
 SelectionPipelineResult beam_select_subset(dataflow::Pipeline& pipeline,
-                                           const graph::GroundSet& ground_set,
+                                           const core::ObjectiveKernel& kernel,
                                            std::size_t k,
-                                           SelectionPipelineConfig config);
+                                           const SelectionPipelineConfig& config);
 
 }  // namespace subsel::beam

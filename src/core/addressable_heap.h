@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -84,45 +83,14 @@ class AddressableMaxHeap {
     sift_down(position_[id]);
   }
 
-  /// Batched decrease: applies priorities[id] -= delta for every (id, delta)
-  /// pair — entries whose id is no longer in the heap are skipped — then
-  /// restores heap order with ONE bottom-up pass (touched slots sifted in
-  /// decreasing slot order, Floyd-style) instead of per-edge sift-downs.
-  /// Deltas are applied in input order, so the float results are bit-identical
-  /// to the equivalent sequence of decrease_weight_by calls; pop order is
-  /// identical too because the (priority, id) order popped is a total order
-  /// independent of the internal array layout. One greedy pop's whole neighbor
-  /// update becomes a single restore pass.
-  void decrease_many(std::span<const std::pair<LocalId, double>> updates) {
-    touched_slots_.clear();
-    for (const auto& [id, delta] : updates) {
-      if (!contains(id)) continue;
-      priorities_[id] -= delta;
-      touched_slots_.push_back(position_[id]);
-    }
-    if (touched_slots_.size() == 1) {
-      sift_down(touched_slots_.front());
-      return;
-    }
-    // Decreasing slot order: sifting slot s only moves elements inside s's
-    // subtree (all indices > s), so the recorded positions of the still-
-    // unprocessed (smaller) slots stay valid, and every touched slot sees
-    // fully-restored subtrees below it — the restricted Floyd heapify.
-    std::sort(touched_slots_.begin(), touched_slots_.end(),
-              std::greater<std::uint32_t>());
-    for (const std::uint32_t slot : touched_slots_) sift_down(slot);
-  }
-
   /// Fused CSR-edge decrease: for every edge in [edges, edges + count),
   /// priorities[edge.neighbor] -= scale · edge.weight when the neighbor is
   /// still queued, restoring heap order per edge. Exactly the operations, in
   /// exactly the order, of the seed greedy's per-edge decrease_weight_by loop
   /// — selections and objectives stay bit-identical to it — but reading the
-  /// CSR slice directly, with no staging vector and no sort. This replaced
-  /// decrease_many in the round loop's pop path: on the low-degree
-  /// subproblems the paper's graphs produce, decrease_many's update staging
-  /// and touched-slot sort cost more than the per-edge sift-downs it saved
-  /// (the 0.91× solve regression in BENCH_micro_core.json).
+  /// CSR slice directly, with no staging vector and no sort (a staged,
+  /// sorted Floyd-style restore cost more than the per-edge sift-downs it
+  /// saved on the low-degree subproblems the paper's graphs produce).
   template <typename Edge>
   void decrease_edges(const Edge* edges, std::size_t count,
                       double scale) noexcept {
@@ -198,7 +166,6 @@ class AddressableMaxHeap {
   std::vector<double> priorities_;
   std::vector<LocalId> heap_;       // heap_[slot] = id
   std::vector<std::uint32_t> position_;  // position_[id] = slot or kNotInHeap
-  std::vector<std::uint32_t> touched_slots_;  // decrease_many scratch
   std::size_t size_ = 0;
 };
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "common/topk.h"
@@ -74,10 +76,11 @@ struct PointBounds {
 /// Because weights are non-negative and rounding is monotone, folding a
 /// superset of Umax's subtractions in the same order gives Uexp ≤ Umax bit
 /// for bit, not just in exact arithmetic — which is what lets Grow prune.
-PointBounds fold_bounds(const GroundSet& ground_set, const SelectionState& state,
-                        const BoundingConfig& config, std::uint64_t round_salt,
-                        NodeId v, std::span<const graph::Edge> edges) {
-  const double pair_scale = config.objective.pair_scale();
+PointBounds fold_bounds(const GroundSet& ground_set, ObjectiveParams params,
+                        const SelectionState& state, const BoundingConfig& config,
+                        std::uint64_t round_salt, NodeId v,
+                        std::span<const graph::Edge> edges) {
+  const double pair_scale = params.pair_scale();
   const bool sampling = config.sampling != BoundingSampling::kNone;
 
   // Weighted sampling normalizes by the mean similarity over the *live*
@@ -121,6 +124,19 @@ PointBounds fold_bounds(const GroundSet& ground_set, const SelectionState& state
 
 namespace detail {
 
+ObjectiveParams bounding_params(const ObjectiveKernel& kernel, const char* who) {
+  const ObjectiveParams* params = kernel.pairwise_params();
+  if (params == nullptr) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": the bounding pre-pass requires an objective with utility-bound support"
+        " (kernel \"" +
+        std::string(kernel.name()) +
+        "\" has none); disable bounding to run this kernel");
+  }
+  return *params;
+}
+
 bool sample_neighbor(const BoundingConfig& config, std::uint64_t round_salt, NodeId v,
                      NodeId neighbor, float weight, double mean_weight) {
   double probability;
@@ -149,9 +165,10 @@ bool sample_neighbor(const BoundingConfig& config, std::uint64_t round_salt, Nod
   return hash_to_unit(h) < probability;
 }
 
-void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& state,
-                            const BoundingConfig& config, std::uint64_t round_salt,
-                            std::vector<double>& u_min, std::vector<double>& u_max) {
+void compute_utility_bounds(const GroundSet& ground_set, ObjectiveParams params,
+                            const SelectionState& state, const BoundingConfig& config,
+                            std::uint64_t round_salt, std::vector<double>& u_min,
+                            std::vector<double>& u_max) {
   const std::size_t n = ground_set.num_points();
   u_min.assign(n, kNaN);
   u_max.assign(n, kNaN);
@@ -160,7 +177,7 @@ void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& s
       ground_set, unassigned, config,
       [&](std::size_t, NodeId v, std::span<const graph::Edge> edges) {
         const PointBounds bounds =
-            fold_bounds(ground_set, state, config, round_salt, v, edges);
+            fold_bounds(ground_set, params, state, config, round_salt, v, edges);
         u_min[static_cast<std::size_t>(v)] = bounds.expected;
         u_max[static_cast<std::size_t>(v)] = bounds.max;
       });
@@ -168,9 +185,10 @@ void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& s
 
 }  // namespace detail
 
-std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
-                      std::size_t& k_remaining, std::vector<double>& u_max,
-                      const BoundingConfig& config, std::uint64_t round_salt) {
+std::size_t grow_step(const GroundSet& ground_set, ObjectiveParams params,
+                      SelectionState& state, std::size_t& k_remaining,
+                      std::vector<double>& u_max, const BoundingConfig& config,
+                      std::uint64_t round_salt) {
   if (k_remaining == 0) return 0;
   assert(u_max.size() == state.size());
 
@@ -193,7 +211,8 @@ std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
       ground_set, probes, config,
       [&](std::size_t i, NodeId v, std::span<const graph::Edge> edges) {
         expected[i] =
-            fold_bounds(ground_set, state, config, round_salt, v, edges).expected;
+            fold_bounds(ground_set, params, state, config, round_salt, v, edges)
+                .expected;
         if (!(expected[i] > threshold)) return;
         for (const graph::Edge& e : edges) {
           if (state.is_unassigned(e.neighbor)) touched[i].push_back(e.neighbor);
@@ -231,16 +250,17 @@ std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
       ground_set, dirty, config,
       [&](std::size_t, NodeId v, std::span<const graph::Edge> edges) {
         u_max[static_cast<std::size_t>(v)] =
-            fold_bounds(ground_set, state, config, round_salt, v, edges).max;
+            fold_bounds(ground_set, params, state, config, round_salt, v, edges).max;
       });
   return candidates.size();
 }
 
-std::size_t shrink_step(const GroundSet& ground_set, SelectionState& state,
-                        std::size_t k_remaining, const BoundingConfig& config,
-                        std::uint64_t round_salt) {
+std::size_t shrink_step(const GroundSet& ground_set, ObjectiveParams params,
+                        SelectionState& state, std::size_t k_remaining,
+                        const BoundingConfig& config, std::uint64_t round_salt) {
   std::vector<double> u_min, u_max;
-  detail::compute_utility_bounds(ground_set, state, config, round_salt, u_min, u_max);
+  detail::compute_utility_bounds(ground_set, params, state, config, round_salt, u_min,
+                                 u_max);
 
   // Threshold = U^k_min, the k-th largest minimum utility (Alg. 4). With
   // k_remaining == 0 the threshold is +inf and every unassigned point is
@@ -260,8 +280,10 @@ std::size_t shrink_step(const GroundSet& ground_set, SelectionState& state,
   return discarded;
 }
 
-BoundingResult bound(const GroundSet& ground_set, std::size_t k,
+BoundingResult bound(const ObjectiveKernel& kernel, std::size_t k,
                      const BoundingConfig& config) {
+  const ObjectiveParams params = detail::bounding_params(kernel, "bound");
+  const GroundSet& ground_set = kernel.ground_set();
   const std::size_t n = ground_set.num_points();
   BoundingResult result;
   result.state = SelectionState(n);
@@ -315,8 +337,8 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
     for (;;) {
       if (out_of_time()) break;
       ++result.shrink_rounds;
-      const std::size_t changed =
-          shrink_step(ground_set, result.state, result.k_remaining, config, ++salt);
+      const std::size_t changed = shrink_step(ground_set, params, result.state,
+                                              result.k_remaining, config, ++salt);
       shrink_changes += changed;
       if (changed == 0 || ++total_rounds >= config.max_rounds) break;
     }
@@ -329,8 +351,9 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
     for (;;) {
       if (out_of_time()) break;
       ++result.grow_rounds;
-      const std::size_t changed = grow_step(ground_set, result.state,
-                                            result.k_remaining, u_max, config, ++salt);
+      const std::size_t changed =
+          grow_step(ground_set, params, result.state, result.k_remaining, u_max,
+                    config, ++salt);
       grow_changes += changed;
       if (changed == 0 || result.k_remaining == 0 ||
           ++total_rounds >= config.max_rounds) {

@@ -34,6 +34,7 @@
 #include "common/run_control.h"
 #include "common/thread_pool.h"
 #include "core/objective.h"
+#include "core/objective_kernel.h"
 #include "core/selection_state.h"
 #include "graph/ground_set.h"
 
@@ -47,8 +48,6 @@ enum class BoundingSampling : std::uint8_t {
 };
 
 struct BoundingConfig {
-  /// α/β balance of the objective; pair_scale() = β/α enters Umin/Umax.
-  ObjectiveParams objective;
   BoundingSampling sampling = BoundingSampling::kNone;
   /// Neighborhood sample fraction p (Theorem 4.6); ignored for kNone.
   double sample_fraction = 1.0;
@@ -87,9 +86,14 @@ struct BoundingResult {
   bool complete() const noexcept { return k_remaining == 0; }
 };
 
-/// Runs Algorithm 5 on `ground_set` for a target subset size k.
-BoundingResult bound(const GroundSet& ground_set, std::size_t k,
+/// Runs Algorithm 5 on kernel.ground_set() for a target subset size k. The
+/// bounds are pairwise math and read only β/α = pair_scale(), so this throws
+/// std::invalid_argument unless kernel.pairwise_params() is set.
+BoundingResult bound(const ObjectiveKernel& kernel, std::size_t k,
                      const BoundingConfig& config);
+
+// The pass helpers take the pairwise `params` whose pair_scale() = β/α
+// enters Umin/Umax; bound() passes its kernel's.
 
 /// One Grow pass (Alg. 3) on an existing state; returns #points selected.
 /// `u_max` holds Umax (Def. 4.2) of every unassigned point under `state`:
@@ -100,16 +104,21 @@ BoundingResult bound(const GroundSet& ground_set, std::size_t k,
 /// the points it selected, so `u_max` is current for the next pass. It reads
 /// fewer than k_remaining neighborhoods to decide plus one per such
 /// neighbor; the selections equal a full pass's bit for bit.
-std::size_t grow_step(const GroundSet& ground_set, SelectionState& state,
-                      std::size_t& k_remaining, std::vector<double>& u_max,
-                      const BoundingConfig& config, std::uint64_t round_salt);
+std::size_t grow_step(const GroundSet& ground_set, ObjectiveParams params,
+                      SelectionState& state, std::size_t& k_remaining,
+                      std::vector<double>& u_max, const BoundingConfig& config,
+                      std::uint64_t round_salt);
 
 /// One Shrink pass (Alg. 4); returns #points discarded.
-std::size_t shrink_step(const GroundSet& ground_set, SelectionState& state,
-                        std::size_t k_remaining, const BoundingConfig& config,
-                        std::uint64_t round_salt);
+std::size_t shrink_step(const GroundSet& ground_set, ObjectiveParams params,
+                        SelectionState& state, std::size_t k_remaining,
+                        const BoundingConfig& config, std::uint64_t round_salt);
 
 namespace detail {
+
+/// The pairwise params bounding runs with: kernel.pairwise_params(), or
+/// std::invalid_argument naming `who` for a kernel without them.
+ObjectiveParams bounding_params(const ObjectiveKernel& kernel, const char* who);
 
 /// Deterministic neighbor-sampling decision for approximate bounding: whether
 /// edge (v -> neighbor) is included in this round's Uexp sum. Hash-derived so
@@ -119,9 +128,10 @@ bool sample_neighbor(const BoundingConfig& config, std::uint64_t round_salt, Nod
 
 /// Computes Umin (or Uexp under sampling) and Umax for all unassigned points;
 /// assigned points get NaN. Buffers are resized to num_points().
-void compute_utility_bounds(const GroundSet& ground_set, const SelectionState& state,
-                            const BoundingConfig& config, std::uint64_t round_salt,
-                            std::vector<double>& u_min, std::vector<double>& u_max);
+void compute_utility_bounds(const GroundSet& ground_set, ObjectiveParams params,
+                            const SelectionState& state, const BoundingConfig& config,
+                            std::uint64_t round_salt, std::vector<double>& u_min,
+                            std::vector<double>& u_max);
 
 }  // namespace detail
 

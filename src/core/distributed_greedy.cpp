@@ -65,8 +65,7 @@ std::uint64_t run_fingerprint(std::size_t n, std::size_t v0, std::size_t k_open,
   // written under one objective configuration must never resume a run under
   // another (rounds selected under different objectives would be silently
   // blended). FNV-1a, not std::hash, because checkpoint files outlive the
-  // process. The null-kernel legacy path resolves to a PairwiseKernel first,
-  // so both spellings of the same pairwise run stay interchangeable.
+  // process.
   std::uint64_t name_hash = 0xcbf29ce484222325ULL;
   for (const char c : kernel.name()) {
     name_hash = (name_hash ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
@@ -146,20 +145,15 @@ DeltaSchedule linear_delta(double gamma) {
   };
 }
 
-DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::size_t k,
+DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::size_t k,
                                            const DistributedGreedyConfig& config,
                                            const SelectionState* initial) {
   if (config.num_machines == 0 || config.num_rounds == 0) {
     throw std::invalid_argument("distributed_greedy: machines and rounds must be >= 1");
   }
+  const GroundSet& ground_set = kernel.ground_set();
   const std::size_t n = ground_set.num_points();
   k = std::min(k, n);
-
-  // Resolve the objective: an explicit kernel wins; otherwise the legacy
-  // pairwise params (whose kernel adapter runs the identical fast path).
-  std::optional<PairwiseKernel> local_kernel;
-  const ObjectiveKernel& kernel =
-      resolve_kernel(config.kernel, ground_set, config.objective, local_kernel);
 
   // Open budget and surviving ground set, after any bounding pre-pass.
   std::vector<NodeId> pre_selected;
@@ -306,8 +300,8 @@ DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::siz
       workers.parallel_for(partitions.size(), [&](std::size_t p) {
         SubproblemArenaPool::Lease arena(arena_pool);
         GreedyResult local = solve_partition(
-            ground_set, partitions[p], per_partition_target, kernel, initial,
-            *arena, config.partition_solver, config.stochastic_epsilon,
+            kernel, partitions[p], per_partition_target, initial, *arena,
+            config.partition_solver, config.stochastic_epsilon,
             hash_combine(config.seed, 0x9e37ULL * round + p), nullptr, nullptr,
             config.constraints);
         atomic_fetch_max(peak_bytes, local.materialized_bytes);
@@ -364,7 +358,7 @@ DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::siz
       // k_open points when no feasible candidate remains.
       SubproblemArenaPool::Lease arena(arena_pool);
       GreedyResult final_solve = solve_partition(
-          ground_set, survivors, k_open, kernel, initial, *arena,
+          kernel, survivors, k_open, initial, *arena,
           PartitionSolver::kPriorityQueue, config.stochastic_epsilon,
           hash_combine(config.seed, config.num_rounds + 1), nullptr, nullptr,
           config.constraints);

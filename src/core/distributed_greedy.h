@@ -39,15 +39,9 @@ using DeltaSchedule =
 /// (Section 6.1, γ = 0.75; Appendix E ablates γ).
 DeltaSchedule linear_delta(double gamma = 0.75);
 
+/// Everything about a run except the objective, which is the kernel
+/// distributed_greedy is given.
 struct DistributedGreedyConfig {
-  /// Pairwise objective parameters, used when `kernel` is null (the
-  /// pre-kernel configuration surface; unchanged behavior).
-  ObjectiveParams objective;
-  /// Objective kernel to maximize; non-owning, must outlive the run and be
-  /// bound to the same ground set the solver is given. When set it overrides
-  /// `objective` entirely: pairwise-family kernels run the identical arena
-  /// fast path, others their incremental state (see core/objective_kernel.h).
-  const ObjectiveKernel* kernel = nullptr;
   /// m — machines available (= maximum parallel partitions).
   std::size_t num_machines = 8;
   /// r — rounds of partition/select/union.
@@ -150,11 +144,13 @@ struct DistributedGreedyResult {
   std::string degraded_reason;
 };
 
-/// Runs Algorithm 6 to select k points. If `initial` is given (the state left
-/// by bounding), its selected points are kept (and condition the per-
-/// partition utilities), its discarded points are never reconsidered, and the
-/// rounds only fill the remaining budget.
-DistributedGreedyResult distributed_greedy(const GroundSet& ground_set, std::size_t k,
+/// Runs Algorithm 6 to select k points of kernel.ground_set() under
+/// `kernel`: pairwise-family kernels run the closed-form arena path, others
+/// their incremental state (see core/objective_kernel.h). If `initial` is
+/// given (the state left by bounding), its selected points are kept (and
+/// condition the per-partition utilities), its discarded points are never
+/// reconsidered, and the rounds only fill the remaining budget.
+DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::size_t k,
                                            const DistributedGreedyConfig& config,
                                            const SelectionState* initial = nullptr);
 

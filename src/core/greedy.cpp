@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -288,9 +287,8 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
   return result;
 }
 
-GreedyResult solve_partition(const GroundSet& ground_set,
+GreedyResult solve_partition(const ObjectiveKernel& kernel,
                              std::span<const NodeId> members, std::size_t k,
-                             const ObjectiveKernel& kernel,
                              const SelectionState* state, SubproblemArena& arena,
                              PartitionSolver partition_solver,
                              double stochastic_epsilon, std::uint64_t seed,
@@ -316,6 +314,7 @@ GreedyResult solve_partition(const GroundSet& ground_set,
     tracker_ptr = &*tracker;
   }
 
+  const GroundSet& ground_set = kernel.ground_set();
   if (const ObjectiveParams* params = kernel.pairwise_params()) {
     // Closed-form path: priorities are the marginal gains.
     const Subproblem& sub =
@@ -456,62 +455,6 @@ GreedyResult centralized_greedy(const graph::SimilarityGraph& graph,
     }
   }
   result.objective = params.alpha * priority_sum;
-  return result;
-}
-
-GreedyResult naive_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                          std::size_t k) {
-  const std::size_t n = ground_set.num_points();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-
-  std::vector<std::uint8_t> in_subset(n, 0);
-  PairwiseObjective objective(ground_set, params);
-  double total = 0.0;
-  for (std::size_t step = 0; step < k; ++step) {
-    double best_gain = -std::numeric_limits<double>::infinity();
-    NodeId best = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in_subset[i] != 0) continue;
-      const double gain = objective.marginal_gain(in_subset, static_cast<NodeId>(i));
-      if (gain > best_gain) {  // strict: first maximizer wins = smallest id
-        best_gain = gain;
-        best = static_cast<NodeId>(i);
-      }
-    }
-    in_subset[static_cast<std::size_t>(best)] = 1;
-    result.selected.push_back(best);
-    total += best_gain;
-  }
-  result.objective = total;
-  return result;
-}
-
-GreedyResult naive_greedy(const ObjectiveKernel& kernel, std::size_t k) {
-  const std::size_t n = kernel.ground_set().num_points();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-
-  std::vector<std::uint8_t> in_subset(n, 0);
-  double total = 0.0;
-  for (std::size_t step = 0; step < k; ++step) {
-    double best_gain = -std::numeric_limits<double>::infinity();
-    NodeId best = -1;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in_subset[i] != 0) continue;
-      const double gain = kernel.marginal_gain(in_subset, static_cast<NodeId>(i));
-      if (gain > best_gain) {  // strict: first maximizer wins = smallest id
-        best_gain = gain;
-        best = static_cast<NodeId>(i);
-      }
-    }
-    in_subset[static_cast<std::size_t>(best)] = 1;
-    result.selected.push_back(best);
-    total += best_gain;
-  }
-  result.objective = total;
   return result;
 }
 

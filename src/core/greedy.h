@@ -147,10 +147,10 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
                                              ConstraintTracker* tracker = nullptr);
 
 /// The one partition-solve entry point the round loops (distributed greedy,
-/// GreeDi, beam) call: materializes `members` and selects min(k, size) points
-/// under `kernel`. Pairwise-family kernels (pairwise_params() != nullptr)
-/// take the closed-form arena path; other kernels run the batched
-/// incremental-state driver. Incremental states bind the vectorized backend
+/// GreeDi, beam) call: materializes `members` of kernel.ground_set() and
+/// selects min(k, size) points under `kernel`. Pairwise-family kernels
+/// (pairwise_params() != nullptr) take the closed-form arena path; other
+/// kernels run the batched incremental-state driver. Incremental states bind the vectorized backend
 /// active when the call starts, so a simd::ScopedBackendOverride around it
 /// pins the whole solve to one backend. `materialized_bytes`/`state_bytes`,
 /// when non-null, receive the subproblem's byte size and the flat
@@ -163,9 +163,8 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
 /// caps) and candidates it rejects are skipped permanently, so the result may
 /// hold fewer than k points. nullptr (the default) is bit-identical to the
 /// unconstrained code paths.
-GreedyResult solve_partition(const GroundSet& ground_set,
+GreedyResult solve_partition(const ObjectiveKernel& kernel,
                              std::span<const NodeId> members, std::size_t k,
-                             const ObjectiveKernel& kernel,
                              const SelectionState* state, SubproblemArena& arena,
                              PartitionSolver partition_solver,
                              double stochastic_epsilon, std::uint64_t seed,
@@ -177,17 +176,5 @@ GreedyResult solve_partition(const GroundSet& ground_set,
 GreedyResult centralized_greedy(const graph::SimilarityGraph& graph,
                                 const std::vector<double>& utilities,
                                 ObjectiveParams params, std::size_t k);
-
-/// Reference implementation of Algorithm 1: recomputes every marginal gain
-/// each step (O(n·k) gain evaluations). Used by tests to validate the
-/// priority-queue implementation; ties break toward smaller ids, matching
-/// AddressableMaxHeap.
-GreedyResult naive_greedy(const GroundSet& ground_set, ObjectiveParams params,
-                          std::size_t k);
-
-/// Reference greedy over an arbitrary kernel: recomputes every marginal gain
-/// each step through the kernel's exact oracle. The ground truth the
-/// conformance tests hold the incremental-state machinery against.
-GreedyResult naive_greedy(const ObjectiveKernel& kernel, std::size_t k);
 
 }  // namespace subsel::core

@@ -55,13 +55,8 @@ double resid_gain_scalar(const std::uint32_t* nbr, const double* pw,
   return self_term + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
 }
 
-void gather_scalar(const double* values, const std::uint32_t* idx,
-                   std::size_t count, double* out) {
-  for (std::size_t i = 0; i < count; ++i) out[i] = values[idx[i]];
-}
-
 constexpr KernelSimdOps kScalarOps{cover_gain_scalar, resid_gain_scalar,
-                                   gather_scalar, "scalar"};
+                                   "scalar"};
 
 // ---------------------------------------------------------------------------
 // AVX2 backend. Compiled per-function with target attributes so the
@@ -116,21 +111,7 @@ __attribute__((target("avx2"))) double resid_gain_avx2(
   return self_term + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
 }
 
-__attribute__((target("avx2"))) void gather_avx2(const double* values,
-                                                 const std::uint32_t* idx,
-                                                 std::size_t count,
-                                                 double* out) {
-  std::size_t i = 0;
-  for (; i + kLanes <= count; i += kLanes) {
-    const __m128i ids =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    _mm256_storeu_pd(out + i, _mm256_i32gather_pd(values, ids, sizeof(double)));
-  }
-  for (; i < count; ++i) out[i] = values[idx[i]];
-}
-
-constexpr KernelSimdOps kAvx2Ops{cover_gain_avx2, resid_gain_avx2, gather_avx2,
-                                 "avx2"};
+constexpr KernelSimdOps kAvx2Ops{cover_gain_avx2, resid_gain_avx2, "avx2"};
 
 #endif  // SUBSEL_KSIMD_HAVE_AVX2
 
@@ -195,8 +176,7 @@ double resid_gain_neon(const std::uint32_t* nbr, const double* pw,
   return self_term + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
 }
 
-constexpr KernelSimdOps kNeonOps{cover_gain_neon, resid_gain_neon,
-                                 gather_scalar, "neon"};
+constexpr KernelSimdOps kNeonOps{cover_gain_neon, resid_gain_neon, "neon"};
 
 #endif  // SUBSEL_KSIMD_HAVE_NEON
 

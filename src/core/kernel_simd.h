@@ -49,14 +49,9 @@ using ResidGainFn = double (*)(const std::uint32_t* nbr, const double* pw,
                                std::size_t count, const double* resid,
                                double self_term);
 
-/// Bulk gather: out[i] = values[idx[i]] — the pairwise gains_batch body.
-using GatherFn = void (*)(const double* values, const std::uint32_t* idx,
-                          std::size_t count, double* out);
-
 struct KernelSimdOps {
   CoverGainFn cover_gain;
   ResidGainFn resid_gain;
-  GatherFn gather;
   const char* name;  // backend_name of the backend these ops implement
 };
 

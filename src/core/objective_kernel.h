@@ -10,25 +10,30 @@
 //    SubproblemArena::kDenseMembershipLimit points use;
 //  - a `gain_offset` making every marginal gain non-negative (the Appendix-A
 //    monotonicity shift, 0 for inherently monotone kernels);
-//  - exactly one gain engine for the partition solves. Kernels whose marginal
-//    gains are *linear in the selected neighborhood* — gain(v|S) =
-//    α·(u(v) − (β/α)·Σ_{j∈S∩N(v)} s(v,j)) — expose their ObjectiveParams via
-//    `pairwise_params()`, and the solvers run the closed-form materialize +
-//    batched-decrease-key path. Every kernel supplies flat, arena-backed
-//    *incremental state* (`make_incremental_state`): per-element
-//    cover/residual arrays updated in O(deg) per pick, with a gains_batch
-//    bulk evaluator the batched lazy driver feeds candidate runs through —
-//    one virtual call per batch, flat loops inside. Lazy re-evaluation is
-//    exact for any submodular kernel: stale priorities only overestimate, so
-//    re-checking the heap top suffices.
+//  - exactly one gain engine for the partition solves, chosen by
+//    `pairwise_params()`:
+//      * kernels whose marginal gains are *linear in the selected
+//        neighborhood* — gain(v|S) = α·(u(v) − (β/α)·Σ_{j∈S∩N(v)} s(v,j)) —
+//        expose their ObjectiveParams there, and the solvers run the
+//        closed-form materialize + batched-decrease-key path (Algorithm 2).
+//        They keep no incremental state: make_incremental_state returns null;
+//      * every other kernel returns null there and supplies flat,
+//        arena-backed *incremental state* (`make_incremental_state`):
+//        per-element cover/residual arrays updated in O(deg) per pick, with a
+//        gains_batch bulk evaluator the batched lazy driver feeds candidate
+//        runs through — one virtual call per batch, flat loops inside. Lazy
+//        re-evaluation is exact for any submodular kernel: stale priorities
+//        only overestimate, so re-checking the heap top suffices.
 //
-// Capability flags tell the API layer which solver×objective combinations are
-// valid (e.g. the bounding pre-pass needs the pairwise Umin/Umax bounds), so
-// invalid combos fail at request validation instead of deep inside a solver.
+// A kernel is bound to its ground set, so it is the one way to name an
+// objective: every solver entry point takes the kernel and reads the ground
+// set from kernel.ground_set(). Capability flags tell the API layer which
+// solver×objective combinations are valid (e.g. the bounding pre-pass needs
+// the pairwise Umin/Umax bounds), so invalid combos fail at request
+// validation instead of deep inside a solver.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -73,11 +78,12 @@ std::uint64_t fingerprint_mix(std::uint64_t hash, std::uint64_t value);
 std::uint64_t fingerprint_mix(std::uint64_t hash, double value);
 
 /// Incremental, arena-backed kernel state — the partition gain engine of
-/// every kernel. All per-element state (cover/residual masses, weights,
-/// gains) lives in flat SubproblemArena buffers reused across partitions and
-/// rounds, selections apply O(deg(selected)) delta updates, and gains_batch
-/// evaluates whole candidate runs behind ONE virtual call with tight flat
-/// loops inside (SIMD-friendly, no per-element dispatch). gain() must agree
+/// every kernel without pairwise_params(). All per-element state
+/// (cover/residual masses, weights, gains) lives in flat SubproblemArena
+/// buffers reused across partitions and rounds, selections apply
+/// O(deg(selected)) delta updates, and gains_batch evaluates whole candidate
+/// runs behind ONE virtual call with tight flat loops inside (SIMD-friendly,
+/// no per-element dispatch). gain() must agree
 /// with the kernel's exact marginal_gain on the subproblem's induced edges
 /// (up to floating-point reassociation), and every vectorized backend must
 /// reproduce the scalar backend bit-for-bit.
@@ -158,8 +164,8 @@ class ObjectiveKernel {
   }
 
   /// Non-null iff caps().linear_priority_updates: the exact parameters the
-  /// Algorithm 2 fast path should run with. The fast path is bit-identical to
-  /// the pre-kernel ObjectiveParams overloads.
+  /// Algorithm 2 closed-form path runs with (and the β/α the bounding
+  /// pre-pass reads).
   virtual const ObjectiveParams* pairwise_params() const noexcept { return nullptr; }
 
   /// Hash of everything that parameterizes this kernel instance (not the
@@ -170,13 +176,14 @@ class ObjectiveKernel {
   virtual std::uint64_t config_fingerprint() const noexcept { return 0; }
 
   /// Fresh incremental state whose flat buffers live in `arena` (reused
-  /// across every partition/round the arena serves). Never null.
+  /// across every partition/round the arena serves). Null exactly when
+  /// pairwise_params() is non-null: those kernels run the closed form.
   virtual std::unique_ptr<KernelIncrementalState> make_incremental_state(
       SubproblemArena& arena) const = 0;
 };
 
-/// The paper's pairwise objective as the first kernel: a thin adapter over
-/// PairwiseObjective whose fast path is the existing arena machinery.
+/// The paper's pairwise objective as a kernel: a thin adapter over
+/// PairwiseObjective whose gain engine is the closed-form arena machinery.
 class PairwiseKernel final : public ObjectiveKernel {
  public:
   /// Validates params (alpha > 0, beta >= 0, both finite) — a malformed
@@ -220,10 +227,11 @@ class PairwiseKernel final : public ObjectiveKernel {
 
   std::uint64_t config_fingerprint() const noexcept override;
 
-  /// Maintained pairwise gains as flat state. The solvers never use it
-  /// (pairwise_params() wins); kernels wrapping pairwise can.
+  /// Null: pairwise runs the closed form (see pairwise_params()).
   std::unique_ptr<KernelIncrementalState> make_incremental_state(
-      SubproblemArena& arena) const override;
+      SubproblemArena&) const override {
+    return nullptr;
+  }
 
   const PairwiseObjective& objective() const noexcept { return objective_; }
 
@@ -232,16 +240,5 @@ class PairwiseKernel final : public ObjectiveKernel {
   ObjectiveParams params_;
   PairwiseObjective objective_;
 };
-
-/// Resolves the objective for a legacy-compatible config surface: returns
-/// `*kernel` when the caller supplied one, otherwise constructs a
-/// PairwiseKernel over (ground_set, params) into `storage` (validating the
-/// params) and returns that. The single spelling of the "explicit kernel
-/// wins, else legacy pairwise params" rule used by every round loop and
-/// baseline.
-const ObjectiveKernel& resolve_kernel(const ObjectiveKernel* kernel,
-                                      const graph::GroundSet& ground_set,
-                                      ObjectiveParams params,
-                                      std::optional<PairwiseKernel>& storage);
 
 }  // namespace subsel::core

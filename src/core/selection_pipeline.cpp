@@ -1,30 +1,14 @@
 #include "core/selection_pipeline.h"
 
-#include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <string>
 
-#include "common/rng.h"
 #include "common/timer.h"
 
 namespace subsel::core {
 
-SelectionPipelineResult select_subset(const GroundSet& ground_set, std::size_t k,
-                                      SelectionPipelineConfig config) {
-  if (config.kernel != nullptr) {
-    if (const ObjectiveParams* params = config.kernel->pairwise_params()) {
-      // Keep the stage configs and the kernel in agreement: the kernel's own
-      // parameters are the single source of truth.
-      config.objective = *params;
-    } else if (config.use_bounding) {
-      throw std::invalid_argument(
-          "select_subset: the bounding pre-pass requires an objective with"
-          " utility-bound support (kernel \"" +
-          std::string(config.kernel->name()) +
-          "\" has none); disable bounding to run this kernel");
-    }
-  }
+SelectionPipelineResult select_subset(const ObjectiveKernel& kernel, std::size_t k,
+                                      const SelectionPipelineConfig& config) {
   if (config.use_bounding && config.greedy.constraints != nullptr &&
       !config.greedy.constraints->empty()) {
     // The bounding pre-pass commits points without consulting budgets or
@@ -34,15 +18,12 @@ SelectionPipelineResult select_subset(const GroundSet& ground_set, std::size_t k
         "select_subset: the bounding pre-pass is unconstrained; disable"
         " bounding (--bounding=none) to run with selection constraints");
   }
-  config.bounding.objective = config.objective;
-  config.greedy.objective = config.objective;
-  config.greedy.kernel = config.kernel;
 
   SelectionPipelineResult result;
   const SelectionState* initial = nullptr;
   if (config.use_bounding) {
     Timer timer;
-    result.bounding = bound(ground_set, k, config.bounding);
+    result.bounding = bound(kernel, k, config.bounding);
     result.bounding_seconds = timer.elapsed_seconds();
     initial = &result.bounding->state;
     if (result.bounding->degraded) {
@@ -56,18 +37,13 @@ SelectionPipelineResult select_subset(const GroundSet& ground_set, std::size_t k
   if (initial != nullptr && result.bounding->complete()) {
     // Bounding found the entire subset; no greedy needed.
     result.selected = initial->selected_ids();
-    if (config.kernel != nullptr) {
-      result.objective = config.kernel->evaluate(
-          std::span<const NodeId>(result.selected), config.greedy.pool);
-    } else {
-      PairwiseObjective objective(ground_set, config.objective);
-      result.objective = objective.evaluate(result.selected, config.greedy.pool);
-    }
+    result.objective = kernel.evaluate(std::span<const NodeId>(result.selected),
+                                       config.greedy.pool);
     return result;
   }
 
   Timer timer;
-  DistributedGreedyResult greedy = distributed_greedy(ground_set, k, config.greedy,
+  DistributedGreedyResult greedy = distributed_greedy(kernel, k, config.greedy,
                                                       initial);
   result.greedy_seconds = timer.elapsed_seconds();
   result.selected = std::move(greedy.selected);

@@ -11,15 +11,12 @@
 
 namespace subsel::core {
 
+/// The stage configs of one run. The objective is not among them: it is the
+/// kernel select_subset is given, so the stages cannot disagree about it.
 struct SelectionPipelineConfig {
-  ObjectiveParams objective;
-  /// Objective kernel; non-owning, must outlive the run and be bound to the
-  /// same ground set. Null runs the legacy pairwise path under `objective`.
-  /// The bounding pre-pass requires caps().utility_bounds (the Section 4.1
-  /// Umin/Umax math is pairwise) — select_subset throws on a kernel without
-  /// it unless bounding is disabled.
-  const ObjectiveKernel* kernel = nullptr;
-  /// Bounding pre-pass; disable to run pure distributed greedy.
+  /// Bounding pre-pass; disable to run pure distributed greedy. The pre-pass
+  /// is pairwise math (Section 4.1 Umin/Umax), so bound() throws for a kernel
+  /// without pairwise_params() unless this is off.
   bool use_bounding = true;
   BoundingConfig bounding;
   DistributedGreedyConfig greedy;
@@ -44,10 +41,9 @@ struct SelectionPipelineResult {
   std::string degraded_reason;
 };
 
-/// Selects k points from the ground set. The objective params in
-/// `config.objective` override the ones embedded in the stage configs so the
-/// stages can never disagree.
-SelectionPipelineResult select_subset(const GroundSet& ground_set, std::size_t k,
-                                      SelectionPipelineConfig config);
+/// Selects k points of kernel.ground_set() under `kernel`: bounding (when
+/// enabled), then distributed greedy over what bounding left open.
+SelectionPipelineResult select_subset(const ObjectiveKernel& kernel, std::size_t k,
+                                      const SelectionPipelineConfig& config);
 
 }  // namespace subsel::core

@@ -36,7 +36,13 @@ class SelectionState {
   PointState state(NodeId v) const noexcept {
     return states_[static_cast<std::size_t>(v)];
   }
-  bool is_selected(NodeId v) const noexcept { return state(v) == PointState::kSelected; }
+  /// False for ids past the state: a mutable ground set can hand out a
+  /// neighbor id inserted after the state was sized, and such a point was
+  /// never selected. state() and is_unassigned() keep requiring v < size().
+  bool is_selected(NodeId v) const noexcept {
+    return static_cast<std::size_t>(v) < states_.size() &&
+           state(v) == PointState::kSelected;
+  }
   bool is_discarded(NodeId v) const noexcept { return state(v) == PointState::kDiscarded; }
   bool is_unassigned(NodeId v) const noexcept {
     return state(v) == PointState::kUnassigned;

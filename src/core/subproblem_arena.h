@@ -87,12 +87,6 @@ class SubproblemArena {
   /// Scratch for GroundSet::neighbors_span copying fallbacks.
   std::vector<graph::Edge>& edge_scratch() noexcept { return edge_scratch_; }
 
-  /// Scratch for batching one pop's neighbor updates into decrease_many.
-  std::vector<std::pair<AddressableMaxHeap::LocalId, double>>&
-  update_scratch() noexcept {
-    return update_scratch_;
-  }
-
   /// Reusable flat per-element buffer for ObjectiveKernel incremental state
   /// (best/second-best cover arrays, residual-mass arrays, weights, gains).
   /// Kernels index slots however they like; the deque keeps references to
@@ -168,7 +162,6 @@ class SubproblemArena {
   Subproblem subproblem_;
   AddressableMaxHeap heap_;
   std::vector<graph::Edge> edge_scratch_;
-  std::vector<std::pair<AddressableMaxHeap::LocalId, double>> update_scratch_;
   std::deque<std::vector<double>> kernel_state_;
   std::deque<std::vector<std::uint32_t>> kernel_index_;
   std::vector<std::uint32_t> version_scratch_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "../testing/constraint_oracle.h"
+#include "../testing/naive_greedy.h"
 #include "../testing/property.h"
 #include "../testing/test_instances.h"
 #include "baselines/streaming.h"
@@ -28,24 +29,25 @@ using subsel::testing::scaled;
 TEST(RandomSelection, ProducesValidSubset) {
   const Instance instance = random_instance(100, 4, 701);
   const auto ground_set = instance.ground_set();
-  const auto result = random_selection(ground_set, ObjectiveParams{0.9, 0.1}, 20, 1);
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams{0.9, 0.1});
+  const auto result = random_selection(kernel, 20, 1);
   EXPECT_EQ(result.selected.size(), 20u);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), 20u);
-  core::PairwiseObjective objective(ground_set, ObjectiveParams{0.9, 0.1});
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(RandomSelection, GreedyBeatsRandomOnAverage) {
   const Instance instance = random_instance(300, 6, 702);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const double greedy =
       core::centralized_greedy(instance.graph, instance.utilities, params, 30)
           .objective;
   double random_total = 0.0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    random_total += random_selection(ground_set, params, 30, seed).objective;
+    random_total += random_selection(kernel, 30, seed).objective;
   }
   EXPECT_GT(greedy, random_total / 10.0);
 }
@@ -54,9 +56,10 @@ TEST(GreeDi, ReturnsKPointsAndReportsMergeSize) {
   const Instance instance = random_instance(200, 5, 703);
   const auto ground_set = instance.ground_set();
   GreeDiConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.num_machines = 8;
-  const auto result = greedi(ground_set, 25, config);
+  const auto result =
+      greedi(core::PairwiseKernel(ground_set, ObjectiveParams::from_alpha(0.9)), 25,
+             config);
   EXPECT_EQ(result.selected.size(), 25u);
   // Each machine proposes k candidates -> the merge machine holds ~m*k.
   EXPECT_EQ(result.merge_candidates, 8u * 25u);
@@ -66,12 +69,12 @@ TEST(GreeDi, ReturnsKPointsAndReportsMergeSize) {
 TEST(GreeDi, SingleMachineEqualsCentralized) {
   const Instance instance = random_instance(80, 4, 704);
   const auto ground_set = instance.ground_set();
+  const auto params = ObjectiveParams::from_alpha(0.9);
   GreeDiConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.num_machines = 1;
-  const auto result = greedi(ground_set, 15, config);
-  auto centralized = core::centralized_greedy(instance.graph, instance.utilities,
-                                              config.objective, 15);
+  const auto result = greedi(core::PairwiseKernel(ground_set, params), 15, config);
+  auto centralized =
+      core::centralized_greedy(instance.graph, instance.utilities, params, 15);
   std::sort(centralized.selected.begin(), centralized.selected.end());
   EXPECT_EQ(result.selected, centralized.selected);
 }
@@ -79,13 +82,13 @@ TEST(GreeDi, SingleMachineEqualsCentralized) {
 TEST(GreeDi, RandomSchemeDiffersFromContiguous) {
   const Instance instance = random_instance(150, 4, 705);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   GreeDiConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.num_machines = 6;
   config.scheme = PartitionScheme::kContiguous;
-  const auto contiguous = greedi(ground_set, 15, config);
+  const auto contiguous = greedi(kernel, 15, config);
   config.scheme = PartitionScheme::kRandom;
-  const auto random = greedi(ground_set, 15, config);
+  const auto random = greedi(kernel, 15, config);
   // Both valid; objective within the same ballpark.
   EXPECT_EQ(contiguous.selected.size(), 15u);
   EXPECT_EQ(random.selected.size(), 15u);
@@ -95,12 +98,12 @@ TEST(GreeDi, RandomSchemeDiffersFromContiguous) {
 TEST(GreeDi, QualityIsNearCentralized) {
   const Instance instance = random_instance(300, 5, 706);
   const auto ground_set = instance.ground_set();
+  const auto params = ObjectiveParams::from_alpha(0.9);
   GreeDiConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.num_machines = 8;
-  const auto distributed = greedi(ground_set, 30, config);
+  const auto distributed = greedi(core::PairwiseKernel(ground_set, params), 30, config);
   const double centralized =
-      core::centralized_greedy(instance.graph, instance.utilities, config.objective, 30)
+      core::centralized_greedy(instance.graph, instance.utilities, params, 30)
           .objective;
   EXPECT_GT(distributed.objective, 0.8 * centralized);
 }
@@ -110,9 +113,9 @@ TEST(LazyGreedy, MatchesEagerGreedy) {
     const Instance instance = random_instance(60, 4, seed);
     const auto ground_set = instance.ground_set();
     for (double alpha : {0.9, 0.5}) {
-      const auto params = ObjectiveParams::from_alpha(alpha);
-      const auto lazy = lazy_greedy(ground_set, params, 12);
-      const auto eager = core::naive_greedy(ground_set, params, 12);
+      const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(alpha));
+      const auto lazy = lazy_greedy(kernel, 12);
+      const auto eager = subsel::testing::naive_greedy(kernel, 12);
       EXPECT_EQ(lazy.selected, eager.selected) << "seed " << seed;
       EXPECT_NEAR(lazy.objective, eager.objective, 1e-9);
     }
@@ -122,7 +125,7 @@ TEST(LazyGreedy, MatchesEagerGreedy) {
 TEST(LazyGreedy, HandlesKEqualN) {
   const Instance instance = random_instance(20, 3, 714);
   const auto ground_set = instance.ground_set();
-  const auto result = lazy_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 20);
+  const auto result = lazy_greedy(core::PairwiseKernel(ground_set, {}), 20);
   EXPECT_EQ(result.selected.size(), 20u);
 }
 
@@ -130,7 +133,8 @@ TEST(StochasticGreedy, ProducesValidSubsetNearGreedyQuality) {
   const Instance instance = random_instance(400, 5, 715);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
-  const auto stochastic = stochastic_greedy(ground_set, params, 40, 0.1, 7);
+  const auto stochastic =
+      stochastic_greedy(core::PairwiseKernel(ground_set, params), 40, 0.1, 7);
   EXPECT_EQ(stochastic.selected.size(), 40u);
   std::set<NodeId> unique(stochastic.selected.begin(), stochastic.selected.end());
   EXPECT_EQ(unique.size(), 40u);
@@ -147,15 +151,16 @@ TEST(StochasticGreedy, EpsilonOneSamplesSingleElement) {
   const Instance instance = random_instance(50, 3, 716);
   const auto ground_set = instance.ground_set();
   const auto result =
-      stochastic_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 10, 0.999, 3);
+      stochastic_greedy(core::PairwiseKernel(ground_set, {}), 10, 0.999, 3);
   EXPECT_EQ(result.selected.size(), 10u);
 }
 
 TEST(StochasticGreedy, DeterministicForFixedSeed) {
   const Instance instance = random_instance(100, 4, 717);
   const auto ground_set = instance.ground_set();
-  const auto a = stochastic_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 10, 0.1, 5);
-  const auto b = stochastic_greedy(ground_set, ObjectiveParams{0.9, 0.1}, 10, 0.1, 5);
+  const core::PairwiseKernel kernel(ground_set, {});
+  const auto a = stochastic_greedy(kernel, 10, 0.1, 5);
+  const auto b = stochastic_greedy(kernel, 10, 0.1, 5);
   EXPECT_EQ(a.selected, b.selected);
 }
 
@@ -204,9 +209,9 @@ TEST(ConstrainedBaselines, FeasibleAndMaximalWhenThePoolRunsDry) {
 TEST(KCenter, CoversTheSpaceAndRadiusShrinksWithK) {
   const data::Dataset dataset = data::toy_dataset(600, 12, 45);
   const auto ground_set = dataset.ground_set();
-  const auto params = ObjectiveParams::from_alpha(0.9);
-  const auto small = greedy_k_center(dataset.embeddings, ground_set, params, 6);
-  const auto large = greedy_k_center(dataset.embeddings, ground_set, params, 60);
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto small = greedy_k_center(dataset.embeddings, kernel, 6);
+  const auto large = greedy_k_center(dataset.embeddings, kernel, 60);
   EXPECT_EQ(small.selected.size(), 6u);
   EXPECT_EQ(large.selected.size(), 60u);
   EXPECT_LT(large.radius, small.radius);
@@ -216,12 +221,11 @@ TEST(KCenter, CoversTheSpaceAndRadiusShrinksWithK) {
 TEST(KCenter, SelectsUniqueValidIds) {
   const data::Dataset dataset = data::toy_dataset(300, 8, 46);
   const auto ground_set = dataset.ground_set();
-  const auto result = greedy_k_center(dataset.embeddings, ground_set,
-                                      ObjectiveParams::from_alpha(0.9), 30);
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = greedy_k_center(dataset.embeddings, kernel, 30);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), 30u);
-  core::PairwiseObjective objective(ground_set, ObjectiveParams::from_alpha(0.9));
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(KCenter, HitsEveryClusterWhenKEqualsClassCount) {
@@ -229,8 +233,9 @@ TEST(KCenter, HitsEveryClusterWhenKEqualsClassCount) {
   // cluster (the textbook behavior the paper's diversity term approximates).
   const data::Dataset dataset = data::toy_dataset(600, 12, 47);
   const auto ground_set = dataset.ground_set();
-  const auto result = greedy_k_center(dataset.embeddings, ground_set,
-                                      ObjectiveParams::from_alpha(0.9), 12);
+  const auto result = greedy_k_center(
+      dataset.embeddings,
+      core::PairwiseKernel(ground_set, ObjectiveParams::from_alpha(0.9)), 12);
   std::set<std::uint32_t> classes;
   for (NodeId v : result.selected) {
     classes.insert(dataset.labels[static_cast<std::size_t>(v)]);
@@ -244,8 +249,8 @@ TEST(KCenter, PureDiversityLosesToSubmodularObjectiveOnF) {
   const data::Dataset dataset = data::toy_dataset(400, 8, 48);
   const auto ground_set = dataset.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
-  const auto kcenter =
-      greedy_k_center(dataset.embeddings, ground_set, params, 40);
+  const auto kcenter = greedy_k_center(dataset.embeddings,
+                                       core::PairwiseKernel(ground_set, params), 40);
   const auto greedy =
       core::centralized_greedy(dataset.graph, dataset.utilities, params, 40);
   EXPECT_GT(greedy.objective, kcenter.objective);

@@ -78,9 +78,9 @@ TEST(DeadlineDegradation, SieveStreamingExpiredDeadline) {
   const Instance instance = random_instance(300, 5, 1405);
   const auto ground_set = instance.ground_set();
   SieveStreamingConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.deadline = Deadline::after_ms(0);
-  const auto result = sieve_streaming(ground_set, 30, config);
+  const auto result = sieve_streaming(
+      core::PairwiseKernel(ground_set, ObjectiveParams::from_alpha(0.9)), 30, config);
   EXPECT_TRUE(result.degraded);
   EXPECT_LE(result.selected.size(), 30u);
 }
@@ -89,9 +89,9 @@ TEST(DeadlineDegradation, SampleAndPruneExpiredDeadline) {
   const Instance instance = random_instance(300, 5, 1406);
   const auto ground_set = instance.ground_set();
   SamplePruneConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.deadline = Deadline::after_ms(0);
-  const auto result = sample_and_prune(ground_set, 30, config);
+  const auto result = sample_and_prune(
+      core::PairwiseKernel(ground_set, ObjectiveParams::from_alpha(0.9)), 30, config);
   EXPECT_TRUE(result.degraded);
   EXPECT_LE(result.selected.size(), 30u);
 }
@@ -118,12 +118,12 @@ TEST(DeadlineDegradation, UnlimitedDeadlineNeverDegrades) {
 
 TEST(DeadlineDegradation, DeadlinedOverloadMatchesPlainOverloadWhenUnlimited) {
   // The deadline parameter must be behavior-neutral when unlimited: the
-  // kernel overloads with and without a Deadline produce identical output.
+  // default and an explicit unlimited Deadline produce identical output.
   const Instance instance = random_instance(250, 5, 1408);
   const auto ground_set = instance.ground_set();
   const core::PairwiseKernel kernel(ground_set,
                                     ObjectiveParams::from_alpha(0.9));
-  const auto plain = lazy_greedy(ground_set, ObjectiveParams::from_alpha(0.9), 25);
+  const auto plain = lazy_greedy(kernel, 25);
   const auto with_deadline = lazy_greedy(kernel, 25, Deadline::unlimited());
   EXPECT_EQ(plain.selected, with_deadline.selected);
   EXPECT_EQ(plain.objective, with_deadline.objective);

@@ -8,6 +8,7 @@
 #include <limits>
 #include <set>
 
+#include "../testing/naive_greedy.h"
 #include "../testing/test_instances.h"
 #include "baselines/baselines.h"
 
@@ -40,9 +41,8 @@ TEST(EpsilonGuards, EveryEpsilonSolverRejectsValuesOutsideTheOpenUnitInterval) {
     EXPECT_THROW(stochastic_greedy(kernel, 5, epsilon), std::invalid_argument)
         << epsilon;
     SieveStreamingConfig config;
-    config.kernel = &kernel;
     config.epsilon = epsilon;
-    EXPECT_THROW(sieve_streaming(ground_set, 5, config), std::invalid_argument)
+    EXPECT_THROW(sieve_streaming(kernel, 5, config), std::invalid_argument)
         << epsilon;
   }
 }
@@ -52,11 +52,10 @@ TEST(EpsilonGuards, EveryEpsilonSolverRejectsValuesOutsideTheOpenUnitInterval) {
 TEST(ThresholdGreedy, ProducesValidSubset) {
   const Instance instance = random_instance(200, 5, 801);
   const auto ground_set = instance.ground_set();
-  const auto result =
-      threshold_greedy(ground_set, ObjectiveParams::from_alpha(0.9), 30);
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = threshold_greedy(kernel, 30);
   expect_valid_subset(result.selected, 30, 200);
-  core::PairwiseObjective objective(ground_set, ObjectiveParams::from_alpha(0.9));
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(ThresholdGreedy, NearGreedyQuality) {
@@ -64,10 +63,11 @@ TEST(ThresholdGreedy, NearGreedyQuality) {
   const Instance instance = random_instance(400, 6, 802);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const double greedy =
       core::centralized_greedy(instance.graph, instance.utilities, params, 40)
           .objective;
-  const auto result = threshold_greedy(ground_set, params, 40, 0.05);
+  const auto result = threshold_greedy(kernel, 40, 0.05);
   EXPECT_GT(result.objective, 0.95 * greedy);
 }
 
@@ -77,8 +77,9 @@ TEST(ThresholdGreedy, SmallerEpsilonIsAtLeastAsGoodOnAverage) {
     const Instance instance = random_instance(150, 4, 810 + seed);
     const auto ground_set = instance.ground_set();
     const auto params = ObjectiveParams::from_alpha(0.9);
-    fine += threshold_greedy(ground_set, params, 20, 0.02).objective;
-    coarse += threshold_greedy(ground_set, params, 20, 0.5).objective;
+    const core::PairwiseKernel kernel(ground_set, params);
+    fine += threshold_greedy(kernel, 20, 0.02).objective;
+    coarse += threshold_greedy(kernel, 20, 0.5).objective;
   }
   EXPECT_GE(fine, coarse);
 }
@@ -87,8 +88,9 @@ TEST(ThresholdGreedy, ZeroBudgetAndOversizedBudget) {
   const Instance instance = random_instance(30, 3, 803);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
-  EXPECT_TRUE(threshold_greedy(ground_set, params, 0).selected.empty());
-  const auto all = threshold_greedy(ground_set, params, 100);
+  const core::PairwiseKernel kernel(ground_set, params);
+  EXPECT_TRUE(threshold_greedy(kernel, 0).selected.empty());
+  const auto all = threshold_greedy(kernel, 100);
   EXPECT_EQ(all.selected.size(), 30u);
 }
 
@@ -96,8 +98,9 @@ TEST(ThresholdGreedy, NearOptimalOnTinyInstance) {
   const Instance instance = random_instance(12, 3, 804);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const double optimum = brute_force_optimum(ground_set, params, 4);
-  const auto result = threshold_greedy(ground_set, params, 4, 0.05);
+  const auto result = threshold_greedy(kernel, 4, 0.05);
   EXPECT_GE(result.objective, (1.0 - 1.0 / 2.718281828 - 0.05) * optimum);
 }
 
@@ -106,9 +109,9 @@ TEST(ThresholdGreedy, NearOptimalOnTinyInstance) {
 TEST(SieveStreaming, ProducesValidSubset) {
   const Instance instance = random_instance(300, 5, 805);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   SieveStreamingConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
-  const auto result = sieve_streaming(ground_set, 30, config);
+  const auto result = sieve_streaming(kernel, 30, config);
   EXPECT_LE(result.selected.size(), 30u);
   EXPECT_GT(result.selected.size(), 0u);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
@@ -122,24 +125,27 @@ TEST(SieveStreaming, MeetsHalfMinusEpsilonOfGreedy) {
   const Instance instance = random_instance(400, 5, 806);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const double greedy =
       core::centralized_greedy(instance.graph, instance.utilities, params, 40)
           .objective;
   SieveStreamingConfig config;
-  config.objective = params;
   config.epsilon = 0.05;
-  const auto result = sieve_streaming(ground_set, 40, config);
+  const auto result = sieve_streaming(kernel, 40, config);
   EXPECT_GT(result.objective, 0.5 * greedy);
 }
 
 TEST(SieveStreaming, MemoryScalesWithBudgetNotGroundSet) {
   // Doubling n should not double resident memory; it is O(k log(k)/ε).
-  SieveStreamingConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
+  const auto params = ObjectiveParams::from_alpha(0.9);
   const Instance small = random_instance(300, 5, 807);
   const Instance large = random_instance(1200, 5, 808);
-  const auto small_result = sieve_streaming(small.ground_set(), 20, config);
-  const auto large_result = sieve_streaming(large.ground_set(), 20, config);
+  const auto small_set = small.ground_set();
+  const auto large_set = large.ground_set();
+  const auto small_result = sieve_streaming(core::PairwiseKernel(small_set, params), 20,
+                                            SieveStreamingConfig{});
+  const auto large_result = sieve_streaming(core::PairwiseKernel(large_set, params), 20,
+                                            SieveStreamingConfig{});
   EXPECT_LT(large_result.peak_resident_elements,
             4 * small_result.peak_resident_elements + 64);
 }
@@ -150,23 +156,22 @@ TEST(SieveStreaming, MonotonicityOffsetKeepsLowAlphaUsable) {
   // non-empty subset whose reported objective is the unshifted f(S).
   const Instance instance = random_instance(200, 6, 809);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.3));
   SieveStreamingConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.3);
   config.apply_monotonicity_offset = true;
-  const auto result = sieve_streaming(ground_set, 25, config);
+  const auto result = sieve_streaming(kernel, 25, config);
   EXPECT_GT(result.selected.size(), 0u);
-  core::PairwiseObjective objective(ground_set, config.objective);
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(SieveStreaming, DeterministicGivenSeed) {
   const Instance instance = random_instance(150, 4, 811);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   SieveStreamingConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.seed = 5;
-  const auto a = sieve_streaming(ground_set, 15, config);
-  const auto b = sieve_streaming(ground_set, 15, config);
+  const auto a = sieve_streaming(kernel, 15, config);
+  const auto b = sieve_streaming(kernel, 15, config);
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_EQ(a.objective, b.objective);
 }
@@ -176,35 +181,33 @@ TEST(SieveStreaming, DeterministicGivenSeed) {
 TEST(SamplePrune, ProducesValidSubset) {
   const Instance instance = random_instance(300, 5, 812);
   const auto ground_set = instance.ground_set();
-  SamplePruneConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
-  const auto result = sample_and_prune(ground_set, 30, config);
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = sample_and_prune(kernel, 30, SamplePruneConfig{});
   expect_valid_subset(result.selected, 30, 300);
   EXPECT_GE(result.rounds, 1u);
-  core::PairwiseObjective objective(ground_set, config.objective);
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(SamplePrune, NearGreedyQuality) {
   const Instance instance = random_instance(500, 5, 813);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const double greedy =
       core::centralized_greedy(instance.graph, instance.utilities, params, 50)
           .objective;
   SamplePruneConfig config;
-  config.objective = params;
-  const auto result = sample_and_prune(ground_set, 50, config);
+  const auto result = sample_and_prune(kernel, 50, config);
   EXPECT_GT(result.objective, 0.85 * greedy);
 }
 
 TEST(SamplePrune, RespectsMachineCapacity) {
   const Instance instance = random_instance(400, 5, 814);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   SamplePruneConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.machine_capacity = 60;
-  const auto result = sample_and_prune(ground_set, 40, config);
+  const auto result = sample_and_prune(kernel, 40, config);
   EXPECT_LE(result.peak_resident_elements, 60u + 40u);
   EXPECT_EQ(result.selected.size(), 40u);
 }
@@ -212,10 +215,10 @@ TEST(SamplePrune, RespectsMachineCapacity) {
 TEST(SamplePrune, SurvivorCountsShrink) {
   const Instance instance = random_instance(400, 5, 815);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   SamplePruneConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.machine_capacity = 50;
-  const auto result = sample_and_prune(ground_set, 40, config);
+  const auto result = sample_and_prune(kernel, 40, config);
   ASSERT_FALSE(result.survivors_per_round.empty());
   for (std::size_t i = 1; i < result.survivors_per_round.size(); ++i) {
     EXPECT_LE(result.survivors_per_round[i], result.survivors_per_round[i - 1]);
@@ -228,11 +231,11 @@ TEST(SamplePrune, CapacityCoveringGroundSetMatchesGreedyQuality) {
   const Instance instance = random_instance(120, 4, 816);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   SamplePruneConfig config;
-  config.objective = params;
   config.machine_capacity = 120;
-  const auto result = sample_and_prune(ground_set, 15, config);
-  const double greedy = core::naive_greedy(ground_set, params, 15).objective;
+  const auto result = sample_and_prune(kernel, 15, config);
+  const double greedy = subsel::testing::naive_greedy(kernel, 15).objective;
   EXPECT_NEAR(result.objective, greedy, 1e-9);
 }
 
@@ -246,24 +249,22 @@ TEST_P(StreamingBaselineSweep, AllMethodsBeatRandomQuality) {
   const Instance instance = random_instance(250, 5, 820);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(alpha);
-  core::PairwiseObjective objective(ground_set, params);
+  const core::PairwiseKernel kernel(ground_set, params);
 
   double random_total = 0.0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    random_total += random_selection(ground_set, params, k, seed).objective;
+    random_total += random_selection(kernel, k, seed).objective;
   }
   const double random_avg = random_total / 5.0;
 
-  EXPECT_GT(threshold_greedy(ground_set, params, k).objective, random_avg);
+  EXPECT_GT(threshold_greedy(kernel, k).objective, random_avg);
 
   SieveStreamingConfig sieve_config;
-  sieve_config.objective = params;
   sieve_config.apply_monotonicity_offset = alpha < 0.5;
-  EXPECT_GT(sieve_streaming(ground_set, k, sieve_config).objective, random_avg);
+  EXPECT_GT(sieve_streaming(kernel, k, sieve_config).objective, random_avg);
 
   SamplePruneConfig sp_config;
-  sp_config.objective = params;
-  EXPECT_GT(sample_and_prune(ground_set, k, sp_config).objective, random_avg);
+  EXPECT_GT(sample_and_prune(kernel, k, sp_config).objective, random_avg);
 }
 
 INSTANTIATE_TEST_SUITE_P(AlphasAndBudgets, StreamingBaselineSweep,

@@ -28,9 +28,8 @@ dataflow::Pipeline make_pipeline(std::size_t shards = 8) {
   return dataflow::Pipeline(options);
 }
 
-BoundingConfig make_config(double alpha, BoundingSampling sampling, double p) {
+BoundingConfig make_config(BoundingSampling sampling, double p) {
   BoundingConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(alpha);
   config.sampling = sampling;
   config.sample_fraction = p;
   return config;
@@ -40,7 +39,8 @@ TEST(BeamBounds, MatchInMemoryBoundsExactly) {
   const Instance instance = random_instance(80, 5, 501);
   const auto ground_set = instance.ground_set();
   auto pipeline = make_pipeline();
-  const auto config = make_config(0.9, BoundingSampling::kNone, 1.0);
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const auto config = make_config(BoundingSampling::kNone, 1.0);
 
   SelectionState state(80);
   state.select(3);
@@ -49,9 +49,10 @@ TEST(BeamBounds, MatchInMemoryBoundsExactly) {
   state.discard(70);
 
   std::vector<double> u_min, u_max;
-  core::detail::compute_utility_bounds(ground_set, state, config, 5, u_min, u_max);
-  const auto beam_bounds =
-      to_vector(compute_bounds_collection(pipeline, ground_set, state, config, 5));
+  core::detail::compute_utility_bounds(ground_set, params, state, config, 5, u_min,
+                                       u_max);
+  const auto beam_bounds = to_vector(
+      compute_bounds_collection(pipeline, ground_set, params, state, config, 5));
 
   ASSERT_EQ(beam_bounds.size(), state.num_unassigned());
   for (const auto& [id, bounds] : beam_bounds) {
@@ -64,16 +65,18 @@ TEST(BeamBounds, MatchInMemoryWithSampling) {
   const Instance instance = random_instance(60, 4, 502);
   const auto ground_set = instance.ground_set();
   auto pipeline = make_pipeline();
+  const auto params = core::ObjectiveParams::from_alpha(0.5);
   for (auto sampling : {BoundingSampling::kUniform, BoundingSampling::kWeighted}) {
-    const auto config = make_config(0.5, sampling, 0.4);
+    const auto config = make_config(sampling, 0.4);
     SelectionState state(60);
     state.select(7);
     state.discard(12);
 
     std::vector<double> u_min, u_max;
-    core::detail::compute_utility_bounds(ground_set, state, config, 9, u_min, u_max);
-    const auto beam_bounds =
-        to_vector(compute_bounds_collection(pipeline, ground_set, state, config, 9));
+    core::detail::compute_utility_bounds(ground_set, params, state, config, 9, u_min,
+                                         u_max);
+    const auto beam_bounds = to_vector(
+        compute_bounds_collection(pipeline, ground_set, params, state, config, 9));
     for (const auto& [id, bounds] : beam_bounds) {
       EXPECT_DOUBLE_EQ(bounds.u_min, u_min[static_cast<std::size_t>(id)])
           << "sampling mode " << static_cast<int>(sampling) << " id " << id;
@@ -88,16 +91,16 @@ TEST_P(BeamBoundEquivalenceTest, FullRunMatchesInMemoryBounding) {
   const auto [alpha, mode] = GetParam();
   const Instance instance = random_instance(70, 5, 503 + mode);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(alpha));
   auto pipeline = make_pipeline();
 
   BoundingConfig config = make_config(
-      alpha,
       mode == 0 ? BoundingSampling::kNone
                 : (mode == 1 ? BoundingSampling::kUniform : BoundingSampling::kWeighted),
       mode == 0 ? 1.0 : 0.3);
 
-  const auto reference = core::bound(ground_set, 14, config);
-  const auto distributed = beam_bound(pipeline, ground_set, 14, config);
+  const auto reference = core::bound(kernel, 14, config);
+  const auto distributed = beam_bound(pipeline, kernel, 14, config);
 
   EXPECT_EQ(distributed.included, reference.included);
   EXPECT_EQ(distributed.excluded, reference.excluded);
@@ -124,17 +127,18 @@ TEST(BeamBoundEquivalence, PrunedCoreGrowMatchesBeamOverManySeeds) {
         const std::size_t n = subsel::testing::scaled(300, scale, 40);
         const Instance instance = subsel::testing::clustered_instance(n, seed);
         const auto ground_set = instance.ground_set();
+        const core::PairwiseKernel kernel(
+            ground_set, core::ObjectiveParams::from_alpha(seed % 2 == 1 ? 0.9 : 0.7));
         const double fraction = seed % 3 == 0 ? 0.05 : (seed % 3 == 1 ? 0.1 : 0.2);
         const std::size_t k =
             std::max<std::size_t>(1, static_cast<std::size_t>(fraction * n));
         for (int mode = 0; mode < 3; ++mode) {
-          BoundingConfig config = make_config(
-              seed % 2 == 1 ? 0.9 : 0.7, static_cast<BoundingSampling>(mode),
-              mode == 0 ? 1.0 : 0.3);
+          BoundingConfig config =
+              make_config(static_cast<BoundingSampling>(mode), mode == 0 ? 1.0 : 0.3);
           config.seed = seed;
           auto pipeline = make_pipeline(4);
-          const auto core_result = core::bound(ground_set, k, config);
-          const auto beam_result = beam_bound(pipeline, ground_set, k, config);
+          const auto core_result = core::bound(kernel, k, config);
+          const auto beam_result = beam_bound(pipeline, kernel, k, config);
           most_grow_passes = std::max(most_grow_passes, core_result.grow_rounds);
           if (auto diff = bounding_difference(core_result, beam_result)) {
             return "sampling mode " + std::to_string(mode) + " k " + std::to_string(k) +
@@ -158,8 +162,10 @@ TEST(BeamBound, WorksUnderTightWorkerMemoryBudget) {
   options.worker_memory_bytes = 32 * 1024;
   dataflow::Pipeline pipeline(options);
 
-  const auto config = make_config(0.9, BoundingSampling::kUniform, 0.3);
-  const auto result = beam_bound(pipeline, ground_set, 40, config);
+  const auto config = make_config(BoundingSampling::kUniform, 0.3);
+  const auto result = beam_bound(
+      pipeline, core::PairwiseKernel(ground_set, core::ObjectiveParams::from_alpha(0.9)),
+      40, config);
   EXPECT_EQ(result.included + result.k_remaining, 40u);
   EXPECT_LE(pipeline.peak_shard_bytes(), 32u * 1024u);
   // Sanity: the whole-instance working set would have blown the budget.
@@ -170,8 +176,10 @@ TEST(BeamBound, CountersTrackDecisions) {
   const Instance instance = random_instance(100, 5, 505);
   const auto ground_set = instance.ground_set();
   auto pipeline = make_pipeline();
-  const auto config = make_config(0.9, BoundingSampling::kUniform, 0.3);
-  const auto result = beam_bound(pipeline, ground_set, 10, config);
+  const auto config = make_config(BoundingSampling::kUniform, 0.3);
+  const auto result = beam_bound(
+      pipeline, core::PairwiseKernel(ground_set, core::ObjectiveParams::from_alpha(0.9)),
+      10, config);
   EXPECT_EQ(pipeline.counter("grow_selected"), result.included);
   EXPECT_EQ(pipeline.counter("shrink_discarded"), result.excluded);
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/subproblem_arena.h"
 
 namespace subsel::core {
 namespace {
@@ -146,63 +147,67 @@ TEST(AddressableMaxHeap, AssignReusesStorageAndRebuilds) {
   EXPECT_TRUE(heap.empty());
 }
 
-TEST(AddressableMaxHeap, DecreaseManySkipsPoppedIds) {
+TEST(AddressableMaxHeap, DecreaseEdgesSkipsPoppedIds) {
   AddressableMaxHeap heap(std::vector<double>{5.0, 4.0, 3.0});
   EXPECT_EQ(heap.pop_max(), 0u);
-  const std::vector<std::pair<AddressableMaxHeap::LocalId, double>> updates{
-      {0, 10.0},  // popped: must be ignored
-      {1, 2.0},   // 4.0 -> 2.0, below id 2
+  const std::vector<Subproblem::LocalEdge> edges{
+      {0, 10.0f},  // popped: must be ignored
+      {1, 2.0f},   // 4.0 -> 2.0, below id 2
   };
-  heap.decrease_many(updates);
+  heap.decrease_edges(edges.data(), edges.size(), 1.0);
   EXPECT_DOUBLE_EQ(heap.priority(0), 5.0);
   EXPECT_EQ(heap.pop_max(), 2u);
   EXPECT_EQ(heap.pop_max(), 1u);
 }
 
-TEST(AddressableMaxHeap, DecreaseManyEmptyBatch) {
+TEST(AddressableMaxHeap, DecreaseEdgesEmptyRun) {
   AddressableMaxHeap heap(std::vector<double>{1.0, 2.0});
-  heap.decrease_many({});
+  heap.decrease_edges(static_cast<const Subproblem::LocalEdge*>(nullptr), 0, 1.0);
   EXPECT_EQ(heap.pop_max(), 1u);
 }
 
-/// Property test: decrease_many must be indistinguishable from the same
-/// updates applied one at a time through decrease_weight_by — same priorities
-/// bit for bit, same pop order.
-class DecreaseManyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// Property test: decrease_edges (the round loop's fused CSR-edge decrease)
+/// must be indistinguishable from the same updates applied one at a time
+/// through decrease_weight_by — same priorities bit for bit, same pop order.
+class DecreaseEdgesPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DecreaseManyPropertyTest, MatchesSequentialDecreases) {
+TEST_P(DecreaseEdgesPropertyTest, MatchesSequentialDecreases) {
   Rng rng(GetParam());
   const std::size_t n = 30 + rng.uniform_index(100);
   std::vector<double> priorities(n);
   for (double& p : priorities) p = rng.uniform(-10, 10);
 
-  AddressableMaxHeap batched(priorities);
+  AddressableMaxHeap fused(priorities);
   AddressableMaxHeap sequential(priorities);
 
   std::size_t live = n;
-  std::vector<std::pair<AddressableMaxHeap::LocalId, double>> batch;
+  std::vector<Subproblem::LocalEdge> edges;
   while (live > 0) {
-    // Random batch over random ids (live and popped mixed in).
-    batch.clear();
-    const std::size_t batch_size = rng.uniform_index(20);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      batch.emplace_back(static_cast<std::uint32_t>(rng.uniform_index(n)),
-                         rng.uniform(0, 5));
+    // A random edge run over random ids (live and popped mixed in).
+    edges.clear();
+    const std::size_t run = rng.uniform_index(20);
+    for (std::size_t i = 0; i < run; ++i) {
+      edges.push_back({static_cast<std::uint32_t>(rng.uniform_index(n)),
+                       static_cast<float>(rng.uniform(0, 5))});
     }
-    batched.decrease_many(batch);
-    for (const auto& [id, delta] : batch) {
-      if (sequential.contains(id)) sequential.decrease_weight_by(id, delta);
+    const double scale = rng.uniform(0, 2);
+    fused.decrease_edges(edges.data(), edges.size(), scale);
+    for (const Subproblem::LocalEdge& edge : edges) {
+      if (sequential.contains(edge.neighbor)) {
+        sequential.decrease_weight_by(edge.neighbor,
+                                      scale * static_cast<double>(edge.weight));
+      }
     }
     for (std::uint32_t id = 0; id < n; ++id) {
-      ASSERT_EQ(batched.priority(id), sequential.priority(id));
+      ASSERT_EQ(fused.priority(id), sequential.priority(id));
     }
     const auto expected = sequential.pop_max();
-    ASSERT_EQ(batched.pop_max(), expected);
+    ASSERT_EQ(fused.pop_max(), expected);
     --live;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, DecreaseManyPropertyTest,
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, DecreaseEdgesPropertyTest,
                          ::testing::Values(11, 12, 13, 14, 15, 16, 17, 18));
 
 }  // namespace

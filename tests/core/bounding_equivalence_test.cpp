@@ -35,9 +35,12 @@ constexpr BoundingSampling kModes[] = {BoundingSampling::kNone,
                                        BoundingSampling::kUniform,
                                        BoundingSampling::kWeighted};
 
+ObjectiveParams params_for(std::uint64_t seed) {
+  return ObjectiveParams::from_alpha(seed % 2 == 1 ? 0.9 : 0.7);
+}
+
 BoundingConfig make_config(BoundingSampling sampling, std::uint64_t seed) {
   BoundingConfig config;
-  config.objective = ObjectiveParams::from_alpha(seed % 2 == 1 ? 0.9 : 0.7);
   config.sampling = sampling;
   config.sample_fraction = sampling == BoundingSampling::kNone ? 1.0 : 0.3;
   config.seed = seed;
@@ -114,9 +117,11 @@ TEST(BoundingEquivalence, PrunedGrowMatchesFullPassReferenceOverManySeeds) {
         for (const BoundingSampling sampling : kModes) {
           for (const double fraction : {0.05, 0.1, 0.2}) {
             const BoundingConfig config = make_config(sampling, seed);
+            const ObjectiveParams params = params_for(seed);
             const std::size_t k = budget(n, fraction);
-            const BoundingResult got = bound(ground_set, k, config);
-            const BoundingResult want = reference_bound(ground_set, k, config);
+            const BoundingResult got =
+                bound(PairwiseKernel(ground_set, params), k, config);
+            const BoundingResult want = reference_bound(ground_set, params, k, config);
             if (auto diff = bounding_difference(got, want)) {
               return "sampling " + std::to_string(static_cast<int>(sampling)) +
                      " k " + std::to_string(k) + ": " + *diff;
@@ -141,10 +146,12 @@ TEST(BoundingEquivalence, RoundCapsStopAtTheSamePass) {
     for (const BoundingSampling sampling : kModes) {
       for (const std::size_t cap : {1, 2, 3, 4, 6, 9, 14, 20, 35}) {
         BoundingConfig config = make_config(sampling, seed);
+        const ObjectiveParams params = params_for(seed);
         config.max_rounds = cap;
         const std::size_t k = budget(600, 0.2);
-        const auto diff = bounding_difference(bound(ground_set, k, config),
-                                              reference_bound(ground_set, k, config));
+        const auto diff =
+            bounding_difference(bound(PairwiseKernel(ground_set, params), k, config),
+                                reference_bound(ground_set, params, k, config));
         EXPECT_FALSE(diff.has_value()) << "seed " << seed << " sampling "
                                        << static_cast<int>(sampling) << " cap "
                                        << cap << ": " << diff.value_or("");
@@ -158,11 +165,13 @@ TEST(BoundingEquivalence, ExpiredDeadlineDegradesIdentically) {
   const auto ground_set = instance.ground_set();
   for (const BoundingSampling sampling : kModes) {
     BoundingConfig config = make_config(sampling, 5);
+    const ObjectiveParams params = params_for(5);
     config.deadline = Deadline::after_ms(0);
-    const BoundingResult got = bound(ground_set, 60, config);
+    const BoundingResult got = bound(PairwiseKernel(ground_set, params), 60, config);
     EXPECT_TRUE(got.degraded);
     EXPECT_EQ(got.k_remaining, 60u);
-    const auto diff = bounding_difference(got, reference_bound(ground_set, 60, config));
+    const auto diff =
+        bounding_difference(got, reference_bound(ground_set, params, 60, config));
     EXPECT_FALSE(diff.has_value()) << diff.value_or("");
   }
 }
@@ -183,9 +192,11 @@ TEST(BoundingEquivalence, TinyCacheDiskGroundSetMatchesInMemoryReference) {
     for (const BoundingSampling sampling : kModes) {
       for (const double fraction : {0.1, 0.2}) {
         const BoundingConfig config = make_config(sampling, seed);
+        const ObjectiveParams params = params_for(seed);
         const std::size_t k = budget(500, fraction);
-        const auto diff = bounding_difference(bound(disk, k, config),
-                                              reference_bound(memory, k, config));
+        const auto diff =
+            bounding_difference(bound(PairwiseKernel(disk, params), k, config),
+                                reference_bound(memory, params, k, config));
         EXPECT_FALSE(diff.has_value())
             << "seed " << seed << " sampling " << static_cast<int>(sampling)
             << " k " << k << ": " << diff.value_or("");
@@ -206,27 +217,29 @@ TEST(BoundingEquivalence, MaintainedUmaxStaysBitIdenticalAndBoundsUexp) {
     const auto ground_set = instance.ground_set();
     for (const BoundingSampling sampling : kModes) {
       const BoundingConfig config = make_config(sampling, seed);
+      const ObjectiveParams params = params_for(seed);
       SelectionState state(400);
       std::vector<double> u_max = instance.utilities;
       std::size_t k_remaining = 80;
       std::uint64_t salt = 0;
       for (int round = 0; round < 100 && k_remaining > 0; ++round) {
         const std::size_t discarded =
-            shrink_step(ground_set, state, k_remaining, config, ++salt);
+            shrink_step(ground_set, params, state, k_remaining, config, ++salt);
 
         SelectionState reference_state = state;
         std::size_t reference_k = k_remaining;
         ++salt;
-        reference_grow_step(ground_set, reference_state, reference_k, config, salt);
+        reference_grow_step(ground_set, params, reference_state, reference_k, config,
+                            salt);
         const std::size_t grown =
-            grow_step(ground_set, state, k_remaining, u_max, config, salt);
+            grow_step(ground_set, params, state, k_remaining, u_max, config, salt);
         ASSERT_EQ(state.selected_ids(), reference_state.selected_ids())
             << "seed " << seed << " round " << round;
         ASSERT_EQ(k_remaining, reference_k);
 
         std::vector<double> fresh_min, fresh_max;
-        detail::compute_utility_bounds(ground_set, state, config, salt + 1,
-                                       fresh_min, fresh_max);
+        detail::compute_utility_bounds(ground_set, params, state, config,
+                                       salt + 1, fresh_min, fresh_max);
         for (std::size_t i = 0; i < state.size(); ++i) {
           if (!state.is_unassigned(static_cast<NodeId>(i))) continue;
           ASSERT_EQ(bits(u_max[i]), bits(fresh_max[i]))
@@ -248,18 +261,19 @@ TEST(BoundingReads, GrowPassReadsOnlyCandidatesAndSelectedNeighborhoods) {
     CountingGroundSet counting(ground_set);
     for (const BoundingSampling sampling : kModes) {
       const BoundingConfig config = make_config(sampling, seed);
+      const ObjectiveParams params = params_for(seed);
       SelectionState state(600);
       std::vector<double> u_max = instance.utilities;
       std::size_t k_remaining = 120;
       std::uint64_t salt = 0;
       for (int round = 0; round < 100 && k_remaining > 0; ++round) {
         const std::size_t discarded =
-            shrink_step(ground_set, state, k_remaining, config, ++salt);
+            shrink_step(ground_set, params, state, k_remaining, config, ++salt);
         const SelectionState before = state;
         const std::size_t k_before = k_remaining;
         counting.reset();
         const std::size_t grown =
-            grow_step(counting, state, k_remaining, u_max, config, ++salt);
+            grow_step(counting, params, state, k_remaining, u_max, config, ++salt);
         EXPECT_LE(counting.reads(),
                   grow_read_allowance(ground_set, before, k_before, state))
             << "seed " << seed << " round " << round;
@@ -281,9 +295,10 @@ TEST(BoundingReads, BoundReadsNoMoreThanFullShrinksAndPrunedGrows) {
     const auto ground_set = instance.ground_set();
     for (const BoundingSampling sampling : kModes) {
       const BoundingConfig config = make_config(sampling, seed);
+      const ObjectiveParams params = params_for(seed);
       std::size_t allowance = 0;
       std::size_t full_passes = 0;
-      reference_bound(ground_set, 120, config,
+      reference_bound(ground_set, params, 120, config,
                       [&](const SelectionState& before, std::size_t k_before,
                           bool grow, const SelectionState& after) {
                         full_passes += before.num_unassigned();
@@ -292,7 +307,7 @@ TEST(BoundingReads, BoundReadsNoMoreThanFullShrinksAndPrunedGrows) {
                                           : before.num_unassigned();
                       });
       const CountingGroundSet counting(ground_set);
-      bound(counting, 120, config);
+      bound(PairwiseKernel(counting, params), 120, config);
       EXPECT_LE(counting.reads(), allowance)
           << "seed " << seed << " sampling " << static_cast<int>(sampling)
           << " (full passes would read " << full_passes << ")";

@@ -14,9 +14,8 @@ using testing::Instance;
 using testing::brute_force_optimum;
 using testing::random_instance;
 
-BoundingConfig exact_config(double alpha) {
+BoundingConfig exact_config() {
   BoundingConfig config;
-  config.objective = ObjectiveParams::from_alpha(alpha);
   config.sampling = BoundingSampling::kNone;
   return config;
 }
@@ -32,10 +31,11 @@ TEST(UtilityBounds, MatchDefinitionsOnHandInstance) {
   instance.utilities = {1.0, 2.0, 3.0};
   const auto ground_set = instance.ground_set();
 
-  BoundingConfig config = exact_config(0.5);
+  BoundingConfig config = exact_config();
   SelectionState state(3);
   std::vector<double> u_min, u_max;
-  detail::compute_utility_bounds(ground_set, state, config, 1, u_min, u_max);
+  detail::compute_utility_bounds(ground_set, ObjectiveParams::from_alpha(0.5), state,
+                                 config, 1, u_min, u_max);
   // No partial solution: Umax = u; Umin subtracts all neighbors.
   EXPECT_NEAR(u_min[0], 1.0 - 0.5, 1e-6);
   EXPECT_NEAR(u_min[1], 2.0 - 0.75, 1e-6);
@@ -48,7 +48,8 @@ TEST(UtilityBounds, MatchDefinitionsOnHandInstance) {
   // counts 2's (selected neighbors always count); Umax now counts 2's edge.
   state.select(2);
   state.discard(0);
-  detail::compute_utility_bounds(ground_set, state, config, 2, u_min, u_max);
+  detail::compute_utility_bounds(ground_set, ObjectiveParams::from_alpha(0.5), state,
+                                 config, 2, u_min, u_max);
   EXPECT_TRUE(std::isnan(u_min[0]));
   EXPECT_TRUE(std::isnan(u_max[2]));
   EXPECT_NEAR(u_min[1], 2.0 - 0.25, 1e-6);
@@ -58,13 +59,14 @@ TEST(UtilityBounds, MatchDefinitionsOnHandInstance) {
 TEST(UtilityBounds, UminNeverExceedsUmax) {
   const Instance instance = random_instance(60, 5, 81);
   const auto ground_set = instance.ground_set();
-  const BoundingConfig config = exact_config(0.5);
+  const BoundingConfig config = exact_config();
   SelectionState state(60);
   state.select(3);
   state.select(17);
   state.discard(40);
   std::vector<double> u_min, u_max;
-  detail::compute_utility_bounds(ground_set, state, config, 1, u_min, u_max);
+  detail::compute_utility_bounds(ground_set, ObjectiveParams::from_alpha(0.5), state,
+                                 config, 1, u_min, u_max);
   for (std::size_t i = 0; i < 60; ++i) {
     if (!state.is_unassigned(static_cast<NodeId>(i))) continue;
     EXPECT_LE(u_min[i], u_max[i] + 1e-12);
@@ -77,12 +79,13 @@ TEST(ExactBounding, NeverMakesWrongDecisionsVsBruteForce) {
   for (std::uint64_t seed : {101, 102, 103, 104, 105, 106}) {
     const Instance instance = random_instance(12, 3, seed);
     const auto ground_set = instance.ground_set();
+    const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
     const std::size_t k = 4;
-    BoundingConfig config = exact_config(0.9);
-    const auto result = bound(ground_set, k, config);
+    BoundingConfig config = exact_config();
+    const auto result = bound(kernel, k, config);
 
     std::vector<NodeId> optimal;
-    brute_force_optimum(ground_set, config.objective, k, &optimal);
+    brute_force_optimum(ground_set, ObjectiveParams::from_alpha(0.9), k, &optimal);
     for (NodeId v = 0; v < 12; ++v) {
       const bool in_optimal = std::binary_search(optimal.begin(), optimal.end(), v);
       if (result.state.is_selected(v)) {
@@ -103,7 +106,8 @@ TEST(ExactBounding, CompletesOnIsolatedPoints) {
       graph::SimilarityGraph::from_lists(std::vector<graph::NeighborList>(6));
   instance.utilities = {0.1, 0.6, 0.3, 0.9, 0.2, 0.5};
   const auto ground_set = instance.ground_set();
-  const auto result = bound(ground_set, 3, exact_config(0.9));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = bound(kernel, 3, exact_config());
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.included, 3u);
   EXPECT_EQ(result.state.selected_ids(), (std::vector<NodeId>{1, 3, 5}));
@@ -112,7 +116,8 @@ TEST(ExactBounding, CompletesOnIsolatedPoints) {
 TEST(ExactBounding, ZeroBudgetIsImmediatelyComplete) {
   const Instance instance = random_instance(10, 2, 111);
   const auto ground_set = instance.ground_set();
-  const auto result = bound(ground_set, 0, exact_config(0.9));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = bound(kernel, 0, exact_config());
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.included, 0u);
   EXPECT_EQ(result.excluded, 0u);
@@ -121,7 +126,8 @@ TEST(ExactBounding, ZeroBudgetIsImmediatelyComplete) {
 TEST(ExactBounding, BudgetEqualToGroundSetSelectsEverything) {
   const Instance instance = random_instance(10, 2, 112);
   const auto ground_set = instance.ground_set();
-  const auto result = bound(ground_set, 10, exact_config(0.9));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = bound(kernel, 10, exact_config());
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.included, 10u);
   EXPECT_EQ(result.excluded, 0u);
@@ -130,7 +136,8 @@ TEST(ExactBounding, BudgetEqualToGroundSetSelectsEverything) {
 TEST(ExactBounding, ReportsRoundCounts) {
   const Instance instance = random_instance(30, 4, 113);
   const auto ground_set = instance.ground_set();
-  const auto result = bound(ground_set, 10, exact_config(0.9));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = bound(kernel, 10, exact_config());
   // At minimum one shrink and one grow invocation happen (the convergence
   // checks themselves).
   EXPECT_GE(result.shrink_rounds, 1u);
@@ -143,11 +150,12 @@ TEST(ExactBounding, GreedyCompletionIsAtLeastAsGoodAsPlainGreedy) {
   for (std::uint64_t seed : {121, 122, 123}) {
     const Instance instance = random_instance(40, 4, seed);
     const auto ground_set = instance.ground_set();
+    const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
     const auto params = ObjectiveParams::from_alpha(0.9);
     const std::size_t k = 8;
 
-    BoundingConfig config = exact_config(0.9);
-    const auto bounding = bound(ground_set, k, config);
+    BoundingConfig config = exact_config();
+    const auto bounding = bound(kernel, k, config);
 
     std::vector<NodeId> members = bounding.state.unassigned_ids();
     SubproblemArena arena;
@@ -171,13 +179,14 @@ TEST(ApproximateBounding, FullSamplingEqualsExactBounding) {
   // p = 1: every neighbor is sampled, so Uexp == Umin and the runs coincide.
   const Instance instance = random_instance(50, 5, 131);
   const auto ground_set = instance.ground_set();
-  BoundingConfig exact = exact_config(0.9);
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  BoundingConfig exact = exact_config();
   BoundingConfig approx = exact;
   approx.sampling = BoundingSampling::kUniform;
   approx.sample_fraction = 1.0;
 
-  const auto a = bound(ground_set, 10, exact);
-  const auto b = bound(ground_set, 10, approx);
+  const auto a = bound(kernel, 10, exact);
+  const auto b = bound(kernel, 10, approx);
   EXPECT_EQ(a.included, b.included);
   EXPECT_EQ(a.excluded, b.excluded);
   EXPECT_EQ(a.state.selected_ids(), b.state.selected_ids());
@@ -189,13 +198,14 @@ TEST(ApproximateBounding, MakesMoreDecisionsThanExact) {
   // shrinks more aggressively.
   const Instance instance = random_instance(200, 8, 132);
   const auto ground_set = instance.ground_set();
-  BoundingConfig exact = exact_config(0.9);
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  BoundingConfig exact = exact_config();
   BoundingConfig approx = exact;
   approx.sampling = BoundingSampling::kUniform;
   approx.sample_fraction = 0.3;
 
-  const auto exact_result = bound(ground_set, 20, exact);
-  const auto approx_result = bound(ground_set, 20, approx);
+  const auto exact_result = bound(kernel, 20, exact);
+  const auto approx_result = bound(kernel, 20, approx);
   EXPECT_GE(approx_result.included + approx_result.excluded,
             exact_result.included + exact_result.excluded);
 }
@@ -203,10 +213,11 @@ TEST(ApproximateBounding, MakesMoreDecisionsThanExact) {
 TEST(ApproximateBounding, WeightedSamplingRespectsBudget) {
   const Instance instance = random_instance(100, 6, 133);
   const auto ground_set = instance.ground_set();
-  BoundingConfig config = exact_config(0.9);
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  BoundingConfig config = exact_config();
   config.sampling = BoundingSampling::kWeighted;
   config.sample_fraction = 0.3;
-  const auto result = bound(ground_set, 15, config);
+  const auto result = bound(kernel, 15, config);
   EXPECT_LE(result.included, 15u);
   EXPECT_LE(result.k_remaining, 15u);
   EXPECT_EQ(result.included + result.k_remaining, 15u);
@@ -215,7 +226,7 @@ TEST(ApproximateBounding, WeightedSamplingRespectsBudget) {
 }
 
 TEST(ApproximateBounding, SamplingDecisionIsDeterministic) {
-  BoundingConfig config = exact_config(0.5);
+  BoundingConfig config = exact_config();
   config.sampling = BoundingSampling::kUniform;
   config.sample_fraction = 0.5;
   config.seed = 7;
@@ -230,7 +241,7 @@ TEST(ApproximateBounding, SamplingDecisionIsDeterministic) {
 }
 
 TEST(ApproximateBounding, WeightedSamplingFavorsHeavyEdges) {
-  BoundingConfig config = exact_config(0.5);
+  BoundingConfig config = exact_config();
   config.sampling = BoundingSampling::kWeighted;
   config.sample_fraction = 0.4;
   int heavy = 0, light = 0;
@@ -245,12 +256,13 @@ TEST(Bounding, SmallTargetTendsToExcludeLargeTargetTendsToInclude) {
   // Section 6.2's qualitative finding, on a larger random instance.
   const Instance instance = random_instance(400, 10, 134);
   const auto ground_set = instance.ground_set();
-  BoundingConfig config = exact_config(0.9);
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  BoundingConfig config = exact_config();
   config.sampling = BoundingSampling::kUniform;
   config.sample_fraction = 0.3;
 
-  const auto small_target = bound(ground_set, 40, config);    // 10 %
-  const auto large_target = bound(ground_set, 320, config);   // 80 %
+  const auto small_target = bound(kernel, 40, config);    // 10 %
+  const auto large_target = bound(kernel, 320, config);   // 80 %
   EXPECT_GT(small_target.excluded, small_target.included);
   EXPECT_GT(large_target.included, large_target.excluded);
 }

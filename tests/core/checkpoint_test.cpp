@@ -41,7 +41,6 @@ class CheckpointTest : public ::testing::Test {
 
   DistributedGreedyConfig make_config(std::uint64_t seed = 71) const {
     DistributedGreedyConfig config;
-    config.objective = ObjectiveParams::from_alpha(0.9);
     config.num_machines = 8;
     config.num_rounds = 6;
     config.adaptive_partitioning = false;
@@ -55,20 +54,21 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, PreemptThenResumeMatchesUninterruptedRun) {
   const Instance instance = random_instance(400, 5, 960);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
 
-  const auto uninterrupted = distributed_greedy(ground_set, 40, make_config());
+  const auto uninterrupted = distributed_greedy(kernel, 40, make_config());
 
   auto config = make_config();
   config.checkpoint_file = path("run.ckpt");
   config.stop_after_round = 3;
-  const auto partial = distributed_greedy(ground_set, 40, config);
+  const auto partial = distributed_greedy(kernel, 40, config);
   EXPECT_TRUE(partial.preempted);
   EXPECT_TRUE(partial.selected.empty());
   EXPECT_EQ(partial.rounds.size(), 3u);
   EXPECT_TRUE(std::filesystem::exists(config.checkpoint_file));
 
   config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(ground_set, 40, config);
+  const auto resumed = distributed_greedy(kernel, 40, config);
   EXPECT_EQ(resumed.resumed_rounds, 3u);
   EXPECT_EQ(resumed.rounds.size(), 3u);  // only the rounds it executed
   EXPECT_FALSE(resumed.preempted);
@@ -81,7 +81,8 @@ TEST_F(CheckpointTest, PreemptThenResumeMatchesUninterruptedRun) {
 TEST_F(CheckpointTest, RepeatedPreemptionsStillConverge) {
   const Instance instance = random_instance(300, 4, 961);
   const auto ground_set = instance.ground_set();
-  const auto uninterrupted = distributed_greedy(ground_set, 30, make_config(72));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto uninterrupted = distributed_greedy(kernel, 30, make_config(72));
 
   auto config = make_config(72);
   config.checkpoint_file = path("steps.ckpt");
@@ -89,7 +90,7 @@ TEST_F(CheckpointTest, RepeatedPreemptionsStillConverge) {
   std::size_t invocations = 0;
   DistributedGreedyResult result;
   do {
-    result = distributed_greedy(ground_set, 30, config);
+    result = distributed_greedy(kernel, 30, config);
     ++invocations;
     ASSERT_LE(invocations, 10u) << "did not converge";
   } while (result.preempted);
@@ -100,27 +101,29 @@ TEST_F(CheckpointTest, RepeatedPreemptionsStillConverge) {
 TEST_F(CheckpointTest, MismatchedSeedIgnoresCheckpoint) {
   const Instance instance = random_instance(200, 4, 962);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
 
   auto config = make_config(73);
   config.checkpoint_file = path("mismatch.ckpt");
   config.stop_after_round = 2;
-  (void)distributed_greedy(ground_set, 20, config);
+  (void)distributed_greedy(kernel, 20, config);
   ASSERT_TRUE(std::filesystem::exists(config.checkpoint_file));
 
   // Different seed -> different run; the stale checkpoint must be ignored
   // and the run must restart from round 1 (6 executed rounds, 0 resumed).
   auto other = make_config(74);
   other.checkpoint_file = path("mismatch.ckpt");
-  const auto result = distributed_greedy(ground_set, 20, other);
+  const auto result = distributed_greedy(kernel, 20, other);
   EXPECT_EQ(result.resumed_rounds, 0u);
   EXPECT_EQ(result.rounds.size(), 6u);
-  const auto reference = distributed_greedy(ground_set, 20, make_config(74));
+  const auto reference = distributed_greedy(kernel, 20, make_config(74));
   EXPECT_EQ(result.selected, reference.selected);
 }
 
 TEST_F(CheckpointTest, CorruptCheckpointFallsBackToRestart) {
   const Instance instance = random_instance(200, 4, 963);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
 
   auto config = make_config(75);
   config.checkpoint_file = path("corrupt.ckpt");
@@ -128,20 +131,21 @@ TEST_F(CheckpointTest, CorruptCheckpointFallsBackToRestart) {
     std::ofstream out(config.checkpoint_file, std::ios::binary);
     out << "not a checkpoint";
   }
-  const auto result = distributed_greedy(ground_set, 20, config);
+  const auto result = distributed_greedy(kernel, 20, config);
   EXPECT_EQ(result.resumed_rounds, 0u);
   EXPECT_EQ(result.selected.size(), 20u);
-  const auto reference = distributed_greedy(ground_set, 20, make_config(75));
+  const auto reference = distributed_greedy(kernel, 20, make_config(75));
   EXPECT_EQ(result.selected, reference.selected);
 }
 
 TEST_F(CheckpointTest, CheckpointingDoesNotChangeTheResult) {
   const Instance instance = random_instance(250, 5, 964);
   const auto ground_set = instance.ground_set();
-  const auto plain = distributed_greedy(ground_set, 25, make_config(76));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto plain = distributed_greedy(kernel, 25, make_config(76));
   auto config = make_config(76);
   config.checkpoint_file = path("noop.ckpt");
-  const auto checkpointed = distributed_greedy(ground_set, 25, config);
+  const auto checkpointed = distributed_greedy(kernel, 25, config);
   EXPECT_EQ(checkpointed.selected, plain.selected);
   EXPECT_EQ(checkpointed.objective, plain.objective);
 }
@@ -154,6 +158,8 @@ TEST_F(CheckpointTest, DiskGroundSetCancelMidSolveThenResumeIsBitIdentical) {
   // cancellation interleaves with paging and in-flight prefetch tasks.
   const Instance instance = random_instance(400, 5, 970);
   const auto memory_ground_set = instance.ground_set();
+  const PairwiseKernel memory_kernel(memory_ground_set,
+                                    ObjectiveParams::from_alpha(0.9));
   const std::string graph_path = path("disk_cancel.graph");
   instance.graph.save(graph_path);
 
@@ -162,9 +168,10 @@ TEST_F(CheckpointTest, DiskGroundSetCancelMidSolveThenResumeIsBitIdentical) {
   cache.max_cached_blocks = 6;
   cache.num_shards = 3;
   const graph::DiskGroundSet disk(graph_path, instance.utilities, cache);
+  const PairwiseKernel disk_kernel(disk, ObjectiveParams::from_alpha(0.9));
 
   const auto uninterrupted =
-      distributed_greedy(memory_ground_set, 40, make_config(81));
+      distributed_greedy(memory_kernel, 40, make_config(81));
 
   auto config = make_config(81);
   config.prefetch_depth = 2;
@@ -172,7 +179,7 @@ TEST_F(CheckpointTest, DiskGroundSetCancelMidSolveThenResumeIsBitIdentical) {
   config.progress = [&config](const ProgressEvent& event) {
     if (event.step >= 2) config.cancel.request_stop();
   };
-  const auto cancelled = distributed_greedy(disk, 40, config);
+  const auto cancelled = distributed_greedy(disk_kernel, 40, config);
   EXPECT_TRUE(cancelled.preempted);
   EXPECT_TRUE(cancelled.selected.empty());
   EXPECT_EQ(cancelled.rounds.size(), 2u);
@@ -181,7 +188,7 @@ TEST_F(CheckpointTest, DiskGroundSetCancelMidSolveThenResumeIsBitIdentical) {
   // Re-arm the shared token and resume to completion on the same disk set.
   config.cancel.reset();
   config.progress = nullptr;
-  const auto resumed = distributed_greedy(disk, 40, config);
+  const auto resumed = distributed_greedy(disk_kernel, 40, config);
   EXPECT_EQ(resumed.resumed_rounds, 2u);
   EXPECT_FALSE(resumed.preempted);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
@@ -197,19 +204,22 @@ TEST_F(CheckpointTest, DiskAndMemoryCheckpointsAreInterchangeable) {
   // ground-set backend, because the data is identical.
   const Instance instance = random_instance(300, 4, 971);
   const auto memory_ground_set = instance.ground_set();
+  const PairwiseKernel memory_kernel(memory_ground_set,
+                                    ObjectiveParams::from_alpha(0.9));
   const std::string graph_path = path("disk_swap.graph");
   instance.graph.save(graph_path);
   const graph::DiskGroundSet disk(graph_path, instance.utilities);
+  const PairwiseKernel disk_kernel(disk, ObjectiveParams::from_alpha(0.9));
 
   const auto uninterrupted =
-      distributed_greedy(memory_ground_set, 30, make_config(82));
+      distributed_greedy(memory_kernel, 30, make_config(82));
 
   auto config = make_config(82);
   config.checkpoint_file = path("disk_swap.ckpt");
   config.stop_after_round = 3;
-  (void)distributed_greedy(disk, 30, config);  // disk run writes rounds 1-3
+  (void)distributed_greedy(disk_kernel, 30, config);  // disk run writes rounds 1-3
   config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(memory_ground_set, 30, config);
+  const auto resumed = distributed_greedy(memory_kernel, 30, config);
   EXPECT_EQ(resumed.resumed_rounds, 3u);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
 }
@@ -221,12 +231,13 @@ TEST_F(CheckpointTest, TornCheckpointWriteKeepsPreviousCheckpointIntact) {
   failpoint::disarm_all();
   const Instance instance = random_instance(400, 5, 972);
   const auto ground_set = instance.ground_set();
-  const auto uninterrupted = distributed_greedy(ground_set, 40, make_config(83));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto uninterrupted = distributed_greedy(kernel, 40, make_config(83));
 
   auto config = make_config(83);
   config.checkpoint_file = path("torn.ckpt");
   config.stop_after_round = 2;
-  (void)distributed_greedy(ground_set, 40, config);  // publishes round 2
+  (void)distributed_greedy(kernel, 40, config);  // publishes round 2
   ASSERT_TRUE(std::filesystem::exists(config.checkpoint_file));
   const std::string before_crash = read_bytes(config.checkpoint_file);
   ASSERT_FALSE(before_crash.empty());
@@ -234,7 +245,7 @@ TEST_F(CheckpointTest, TornCheckpointWriteKeepsPreviousCheckpointIntact) {
   // Round 3 executes, but its checkpoint flush crashes halfway through.
   failpoint::arm_from_spec("checkpoint.write=nth(1)");
   config.stop_after_round = 1;
-  const auto crashed = distributed_greedy(ground_set, 40, config);
+  const auto crashed = distributed_greedy(kernel, 40, config);
   failpoint::disarm_all();
   EXPECT_TRUE(crashed.preempted);
   EXPECT_EQ(crashed.resumed_rounds, 2u);
@@ -248,7 +259,7 @@ TEST_F(CheckpointTest, TornCheckpointWriteKeepsPreviousCheckpointIntact) {
   // Resume: round 3's save was lost, so the run re-executes from round 3
   // and still lands exactly on the uninterrupted selection.
   config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(ground_set, 40, config);
+  const auto resumed = distributed_greedy(kernel, 40, config);
   EXPECT_EQ(resumed.resumed_rounds, 2u);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
   EXPECT_EQ(resumed.objective, uninterrupted.objective);
@@ -257,7 +268,8 @@ TEST_F(CheckpointTest, TornCheckpointWriteKeepsPreviousCheckpointIntact) {
 TEST_F(CheckpointTest, CheckpointEveryGatesSaves) {
   const Instance instance = random_instance(300, 4, 973);
   const auto ground_set = instance.ground_set();
-  const auto uninterrupted = distributed_greedy(ground_set, 30, make_config(84));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto uninterrupted = distributed_greedy(kernel, 30, make_config(84));
 
   auto config = make_config(84);
   config.checkpoint_file = path("gated.ckpt");
@@ -265,16 +277,16 @@ TEST_F(CheckpointTest, CheckpointEveryGatesSaves) {
 
   // Rounds 1-2 complete but neither is a multiple of 3: nothing on disk.
   config.stop_after_round = 2;
-  (void)distributed_greedy(ground_set, 30, config);
+  (void)distributed_greedy(kernel, 30, config);
   EXPECT_FALSE(std::filesystem::exists(config.checkpoint_file));
 
   // A fresh run through round 3 publishes the first gated checkpoint.
   config.stop_after_round = 3;
-  (void)distributed_greedy(ground_set, 30, config);
+  (void)distributed_greedy(kernel, 30, config);
   ASSERT_TRUE(std::filesystem::exists(config.checkpoint_file));
 
   config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(ground_set, 30, config);
+  const auto resumed = distributed_greedy(kernel, 30, config);
   EXPECT_EQ(resumed.resumed_rounds, 3u);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
 }
@@ -282,12 +294,13 @@ TEST_F(CheckpointTest, CheckpointEveryGatesSaves) {
 TEST_F(CheckpointTest, DegradedRunKeepsCheckpointAndStillReturnsValidSelection) {
   const Instance instance = random_instance(400, 5, 974);
   const auto ground_set = instance.ground_set();
-  const auto uninterrupted = distributed_greedy(ground_set, 40, make_config(85));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto uninterrupted = distributed_greedy(kernel, 40, make_config(85));
 
   auto config = make_config(85);
   config.checkpoint_file = path("degraded.ckpt");
   config.stop_after_round = 2;
-  (void)distributed_greedy(ground_set, 40, config);  // checkpoint after round 2
+  (void)distributed_greedy(kernel, 40, config);  // checkpoint after round 2
   ASSERT_TRUE(std::filesystem::exists(config.checkpoint_file));
 
   // Resume under an already-expired deadline: the run must degrade — a VALID
@@ -295,7 +308,7 @@ TEST_F(CheckpointTest, DegradedRunKeepsCheckpointAndStillReturnsValidSelection) 
   // an unhurried retry can still finish properly.
   config.stop_after_round = 0;
   config.deadline = Deadline::after_ms(0);
-  const auto degraded = distributed_greedy(ground_set, 40, config);
+  const auto degraded = distributed_greedy(kernel, 40, config);
   EXPECT_TRUE(degraded.degraded);
   EXPECT_FALSE(degraded.degraded_reason.empty());
   EXPECT_FALSE(degraded.preempted);
@@ -304,7 +317,7 @@ TEST_F(CheckpointTest, DegradedRunKeepsCheckpointAndStillReturnsValidSelection) 
 
   // The unhurried retry resumes from the kept checkpoint and converges.
   config.deadline = Deadline::unlimited();
-  const auto finished = distributed_greedy(ground_set, 40, config);
+  const auto finished = distributed_greedy(kernel, 40, config);
   EXPECT_FALSE(finished.degraded);
   EXPECT_EQ(finished.resumed_rounds, 2u);
   EXPECT_EQ(finished.selected, uninterrupted.selected);
@@ -314,15 +327,16 @@ TEST_F(CheckpointTest, DegradedRunKeepsCheckpointAndStillReturnsValidSelection) 
 TEST_F(CheckpointTest, WorksTogetherWithStochasticSolver) {
   const Instance instance = random_instance(300, 4, 965);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   auto config = make_config(77);
   config.partition_solver = PartitionSolver::kStochastic;
-  const auto uninterrupted = distributed_greedy(ground_set, 30, config);
+  const auto uninterrupted = distributed_greedy(kernel, 30, config);
 
   config.checkpoint_file = path("stochastic.ckpt");
   config.stop_after_round = 2;
-  (void)distributed_greedy(ground_set, 30, config);
+  (void)distributed_greedy(kernel, 30, config);
   config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(ground_set, 30, config);
+  const auto resumed = distributed_greedy(kernel, 30, config);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
 }
 

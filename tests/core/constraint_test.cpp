@@ -183,8 +183,8 @@ std::optional<std::string> constrained_solve_property(std::uint64_t seed,
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
   const GreedyResult result = solve_partition(
-      ground_set, members, k, kernel, nullptr, arena, solver, 0.1, seed,
-      nullptr, nullptr, &constraints);
+      kernel, members, k, nullptr, arena, solver, 0.1, seed, nullptr,
+      nullptr, &constraints);
 
   std::vector<NodeId> sorted = result.selected;
   std::sort(sorted.begin(), sorted.end());
@@ -267,12 +267,11 @@ TEST(ConstrainedGreedyConformance, NonBindingConstraintsAreBitIdentical) {
         for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
         SubproblemArena arena_a, arena_b;
         const GreedyResult unconstrained = solve_partition(
-            ground_set, members, k, kernel, nullptr, arena_a,
-            PartitionSolver::kPriorityQueue, 0.1, seed);
+            kernel, members, k, nullptr, arena_a, PartitionSolver::kPriorityQueue,
+            0.1, seed);
         const GreedyResult constrained = solve_partition(
-            ground_set, members, k, kernel, nullptr, arena_b,
-            PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            &loose);
+            kernel, members, k, nullptr, arena_b, PartitionSolver::kPriorityQueue,
+            0.1, seed, nullptr, nullptr, &loose);
         if (constrained.selected != unconstrained.selected) {
           return "selections differ under non-binding constraints";
         }
@@ -297,9 +296,8 @@ TEST(ConstrainedGreedyConformance, BlockedOnlyConstraintsExcludeExactlyBlocked) 
   for (std::size_t i = 0; i < 30; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
   const GreedyResult result = solve_partition(
-      ground_set, members, 10, kernel, nullptr, arena,
-      PartitionSolver::kPriorityQueue, 0.1, 1, nullptr, nullptr,
-      &constraints);
+      kernel, members, 10, nullptr, arena, PartitionSolver::kPriorityQueue,
+      0.1, 1, nullptr, nullptr, &constraints);
   EXPECT_EQ(result.selected.size(), 10u);  // plenty of unblocked candidates
   for (const NodeId v : result.selected) {
     EXPECT_FALSE(std::binary_search(constraints.blocked.begin(),

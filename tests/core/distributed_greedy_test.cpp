@@ -14,10 +14,8 @@ using testing::Instance;
 using testing::random_instance;
 
 DistributedGreedyConfig make_config(std::size_t machines, std::size_t rounds,
-                                    bool adaptive, double alpha = 0.9,
-                                    std::uint64_t seed = 23) {
+                                    bool adaptive, std::uint64_t seed = 23) {
   DistributedGreedyConfig config;
-  config.objective = ObjectiveParams::from_alpha(alpha);
   config.num_machines = machines;
   config.num_rounds = rounds;
   config.adaptive_partitioning = adaptive;
@@ -59,9 +57,10 @@ TEST(LinearDelta, RejectsNonPositiveGamma) {
 TEST(DistributedGreedy, ReturnsExactlyKDistinctPoints) {
   const Instance instance = random_instance(200, 5, 201);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   for (std::size_t machines : {1u, 4u, 16u}) {
     for (std::size_t rounds : {1u, 4u}) {
-      const auto result = distributed_greedy(ground_set, 20,
+      const auto result = distributed_greedy(kernel, 20,
                                              make_config(machines, rounds, false));
       EXPECT_EQ(result.selected.size(), 20u);
       std::set<NodeId> unique(result.selected.begin(), result.selected.end());
@@ -74,8 +73,9 @@ TEST(DistributedGreedy, ReturnsExactlyKDistinctPoints) {
 TEST(DistributedGreedy, SingleMachineSingleRoundEqualsCentralized) {
   const Instance instance = random_instance(100, 5, 202);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   const auto params = ObjectiveParams::from_alpha(0.9);
-  const auto distributed = distributed_greedy(ground_set, 15, make_config(1, 1, false));
+  const auto distributed = distributed_greedy(kernel, 15, make_config(1, 1, false));
   const auto centralized =
       centralized_greedy(instance.graph, instance.utilities, params, 15);
   std::vector<NodeId> sorted = centralized.selected;
@@ -87,10 +87,10 @@ TEST(DistributedGreedy, SingleMachineSingleRoundEqualsCentralized) {
 TEST(DistributedGreedy, ObjectiveMatchesEvaluation) {
   const Instance instance = random_instance(150, 4, 203);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   const auto config = make_config(8, 3, true);
-  const auto result = distributed_greedy(ground_set, 30, config);
-  PairwiseObjective objective(ground_set, config.objective);
-  EXPECT_NEAR(result.objective, objective.evaluate(result.selected), 1e-9);
+  const auto result = distributed_greedy(kernel, 30, config);
+  EXPECT_NEAR(result.objective, kernel.objective().evaluate(result.selected), 1e-9);
 }
 
 TEST(DistributedGreedy, MoreRoundsDoNotHurtOnAverage) {
@@ -98,13 +98,14 @@ TEST(DistributedGreedy, MoreRoundsDoNotHurtOnAverage) {
   // subset with many partitions.
   const Instance instance = random_instance(600, 8, 204);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   double single = 0.0, multi = 0.0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    single += distributed_greedy(ground_set, 60,
-                                 make_config(16, 1, false, 0.9, 300 + seed))
+    single += distributed_greedy(kernel, 60,
+                                 make_config(16, 1, false, 300 + seed))
                   .objective;
-    multi += distributed_greedy(ground_set, 60,
-                                make_config(16, 8, false, 0.9, 300 + seed))
+    multi += distributed_greedy(kernel, 60,
+                                make_config(16, 8, false, 300 + seed))
                  .objective;
   }
   EXPECT_GE(multi, single);
@@ -115,7 +116,8 @@ TEST(DistributedGreedy, AdaptivePartitioningUsesFewerPartitionsOverTime) {
   // m_round = ceil(n_round / cap) reaches exactly 1 in the final round.
   const Instance instance = random_instance(400, 5, 205);
   const auto ground_set = instance.ground_set();
-  const auto result = distributed_greedy(ground_set, 20, make_config(16, 6, true));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = distributed_greedy(kernel, 20, make_config(16, 6, true));
   ASSERT_EQ(result.rounds.size(), 6u);
   EXPECT_GT(result.rounds.front().num_partitions, result.rounds.back().num_partitions);
   EXPECT_EQ(result.rounds.back().num_partitions, 1u);  // final rounds fit one machine
@@ -127,7 +129,8 @@ TEST(DistributedGreedy, AdaptivePartitioningUsesFewerPartitionsOverTime) {
 TEST(DistributedGreedy, NonAdaptiveAlwaysUsesAllMachines) {
   const Instance instance = random_instance(400, 5, 206);
   const auto ground_set = instance.ground_set();
-  const auto result = distributed_greedy(ground_set, 40, make_config(8, 4, false));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = distributed_greedy(kernel, 40, make_config(8, 4, false));
   for (const auto& round : result.rounds) {
     EXPECT_EQ(round.num_partitions, 8u);
   }
@@ -138,13 +141,14 @@ TEST(DistributedGreedy, AdaptiveBeatsNonAdaptiveOnAverage) {
   // not be worse when partitions are plentiful.
   const Instance instance = random_instance(600, 8, 207);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   double adaptive = 0.0, fixed = 0.0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    adaptive += distributed_greedy(ground_set, 60,
-                                   make_config(16, 4, true, 0.9, 400 + seed))
+    adaptive += distributed_greedy(kernel, 60,
+                                   make_config(16, 4, true, 400 + seed))
                     .objective;
-    fixed += distributed_greedy(ground_set, 60,
-                                make_config(16, 4, false, 0.9, 400 + seed))
+    fixed += distributed_greedy(kernel, 60,
+                                make_config(16, 4, false, 400 + seed))
                  .objective;
   }
   EXPECT_GE(adaptive, fixed);
@@ -153,7 +157,8 @@ TEST(DistributedGreedy, AdaptiveBeatsNonAdaptiveOnAverage) {
 TEST(DistributedGreedy, RoundStatsAreConsistent) {
   const Instance instance = random_instance(300, 4, 208);
   const auto ground_set = instance.ground_set();
-  const auto result = distributed_greedy(ground_set, 30, make_config(8, 4, false));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = distributed_greedy(kernel, 30, make_config(8, 4, false));
   ASSERT_EQ(result.rounds.size(), 4u);
   EXPECT_EQ(result.rounds[0].input_size, 300u);
   for (std::size_t i = 0; i < result.rounds.size(); ++i) {
@@ -171,14 +176,14 @@ TEST(DistributedGreedy, RoundStatsAreConsistent) {
 TEST(DistributedGreedy, HonorsBoundingState) {
   const Instance instance = random_instance(120, 4, 209);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   BoundingConfig bounding_config;
-  bounding_config.objective = ObjectiveParams::from_alpha(0.9);
   bounding_config.sampling = BoundingSampling::kUniform;
   bounding_config.sample_fraction = 0.3;
-  const auto bounding = bound(ground_set, 40, bounding_config);
+  const auto bounding = bound(kernel, 40, bounding_config);
 
   const auto result =
-      distributed_greedy(ground_set, 40, make_config(4, 2, true), &bounding.state);
+      distributed_greedy(kernel, 40, make_config(4, 2, true), &bounding.state);
   EXPECT_EQ(result.selected.size(), 40u);
   // Every bounding-selected point must be in the answer; discarded must not.
   for (NodeId v : bounding.state.selected_ids()) {
@@ -195,13 +200,14 @@ TEST(DistributedGreedy, HonorsBoundingState) {
 TEST(DistributedGreedy, WorstCasePartitioningStillReturnsValidSubset) {
   const Instance instance = random_instance(200, 5, 210);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   const auto params = ObjectiveParams::from_alpha(0.9);
   auto centralized = centralized_greedy(instance.graph, instance.utilities, params, 20);
   std::sort(centralized.selected.begin(), centralized.selected.end());
 
   auto config = make_config(10, 4, false);
   config.forced_first_partition = centralized.selected;
-  const auto result = distributed_greedy(ground_set, 20, config);
+  const auto result = distributed_greedy(kernel, 20, config);
   EXPECT_EQ(result.selected.size(), 20u);
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), 20u);
@@ -210,24 +216,27 @@ TEST(DistributedGreedy, WorstCasePartitioningStillReturnsValidSubset) {
 TEST(DistributedGreedy, KLargerThanGroundSetSelectsEverything) {
   const Instance instance = random_instance(25, 3, 211);
   const auto ground_set = instance.ground_set();
-  const auto result = distributed_greedy(ground_set, 100, make_config(4, 2, true));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto result = distributed_greedy(kernel, 100, make_config(4, 2, true));
   EXPECT_EQ(result.selected.size(), 25u);
 }
 
 TEST(DistributedGreedy, RejectsZeroMachinesOrRounds) {
   const Instance instance = random_instance(10, 2, 212);
   const auto ground_set = instance.ground_set();
-  EXPECT_THROW(distributed_greedy(ground_set, 5, make_config(0, 1, false)),
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  EXPECT_THROW(distributed_greedy(kernel, 5, make_config(0, 1, false)),
                std::invalid_argument);
-  EXPECT_THROW(distributed_greedy(ground_set, 5, make_config(1, 0, false)),
+  EXPECT_THROW(distributed_greedy(kernel, 5, make_config(1, 0, false)),
                std::invalid_argument);
 }
 
 TEST(DistributedGreedy, DeterministicForFixedSeed) {
   const Instance instance = random_instance(150, 4, 213);
   const auto ground_set = instance.ground_set();
-  const auto a = distributed_greedy(ground_set, 15, make_config(8, 3, true, 0.9, 99));
-  const auto b = distributed_greedy(ground_set, 15, make_config(8, 3, true, 0.9, 99));
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  const auto a = distributed_greedy(kernel, 15, make_config(8, 3, true, 99));
+  const auto b = distributed_greedy(kernel, 15, make_config(8, 3, true, 99));
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_EQ(a.objective, b.objective);
 }
@@ -235,6 +244,7 @@ TEST(DistributedGreedy, DeterministicForFixedSeed) {
 TEST(DistributedGreedy, ProgressReportsEveryRound) {
   const Instance instance = random_instance(200, 4, 214);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   auto config = make_config(4, 3, false);
   std::vector<std::size_t> steps;
   config.progress = [&steps](const ProgressEvent& event) {
@@ -242,7 +252,7 @@ TEST(DistributedGreedy, ProgressReportsEveryRound) {
     EXPECT_EQ(event.total_steps, 3u);
     steps.push_back(event.step);
   };
-  const auto result = distributed_greedy(ground_set, 20, config);
+  const auto result = distributed_greedy(kernel, 20, config);
   EXPECT_EQ(steps, (std::vector<std::size_t>{1, 2, 3}));
   EXPECT_FALSE(result.preempted);
   EXPECT_EQ(result.selected.size(), 20u);
@@ -251,6 +261,7 @@ TEST(DistributedGreedy, ProgressReportsEveryRound) {
 TEST(DistributedGreedy, CancellationMidRunYieldsCleanPreemption) {
   const Instance instance = random_instance(300, 4, 215);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   auto config = make_config(4, 5, false);
   // Cancel from the progress callback after the first round completes — the
   // round loop must stop at the next round boundary with a preempted result,
@@ -258,7 +269,7 @@ TEST(DistributedGreedy, CancellationMidRunYieldsCleanPreemption) {
   config.progress = [&config](const ProgressEvent& event) {
     if (event.step >= 1) config.cancel.request_stop();
   };
-  const auto cancelled = distributed_greedy(ground_set, 30, config);
+  const auto cancelled = distributed_greedy(kernel, 30, config);
   EXPECT_TRUE(cancelled.preempted);
   EXPECT_TRUE(cancelled.selected.empty());
   EXPECT_EQ(cancelled.objective, 0.0);
@@ -268,9 +279,9 @@ TEST(DistributedGreedy, CancellationMidRunYieldsCleanPreemption) {
   // match an undisturbed run exactly.
   config.cancel.reset();
   config.progress = nullptr;
-  const auto full = distributed_greedy(ground_set, 30, config);
+  const auto full = distributed_greedy(kernel, 30, config);
   const auto undisturbed =
-      distributed_greedy(ground_set, 30, make_config(4, 5, false));
+      distributed_greedy(kernel, 30, make_config(4, 5, false));
   EXPECT_FALSE(full.preempted);
   EXPECT_EQ(full.selected, undisturbed.selected);
 }
@@ -278,6 +289,7 @@ TEST(DistributedGreedy, CancellationMidRunYieldsCleanPreemption) {
 TEST(DistributedGreedy, CancelledCheckpointedRunResumes) {
   const Instance instance = random_instance(250, 4, 216);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   const std::string checkpoint =
       ::testing::TempDir() + "/distgreedy_cancel.ckpt";
 
@@ -286,17 +298,17 @@ TEST(DistributedGreedy, CancelledCheckpointedRunResumes) {
   config.progress = [&config](const ProgressEvent& event) {
     if (event.step >= 2) config.cancel.request_stop();
   };
-  const auto cancelled = distributed_greedy(ground_set, 25, config);
+  const auto cancelled = distributed_greedy(kernel, 25, config);
   EXPECT_TRUE(cancelled.preempted);
   EXPECT_EQ(cancelled.rounds.size(), 2u);
 
   config.cancel.reset();
   config.progress = nullptr;
-  const auto resumed = distributed_greedy(ground_set, 25, config);
+  const auto resumed = distributed_greedy(kernel, 25, config);
   EXPECT_EQ(resumed.resumed_rounds, 2u);
 
   config.checkpoint_file.clear();
-  const auto uninterrupted = distributed_greedy(ground_set, 25, config);
+  const auto uninterrupted = distributed_greedy(kernel, 25, config);
   EXPECT_EQ(resumed.selected, uninterrupted.selected);
 }
 

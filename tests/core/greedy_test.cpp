@@ -6,13 +6,17 @@
 #include <cmath>
 #include <set>
 
+#include "../testing/naive_greedy.h"
 #include "../testing/test_instances.h"
+#include "core/coverage_kernel.h"
+#include "core/facility_location_kernel.h"
 
 namespace subsel::core {
 namespace {
 
 using testing::Instance;
 using testing::brute_force_optimum;
+using testing::naive_greedy;
 using testing::random_instance;
 
 /// The induced subproblem spelled out from its definition (Section 4.4):
@@ -384,6 +388,57 @@ TEST(SubproblemArena, NeighborIdsPastTheMapAreNotMembers) {
   const Subproblem& topology =
       materialize_subproblem_topology(ground_set, members, arena);
   EXPECT_EQ(topology.offsets, (std::vector<std::int64_t>{0, 1, 2, 2, 2}));
+}
+
+TEST(SolvePartition, ConditioningIgnoresNeighborIdsPastTheState) {
+  // A neighbor inserted into a mutable ground set after a conditioning state
+  // was sized has an id past the state. That point was never selected, so
+  // every kernel's conditioning must read it as unselected — the solve equals
+  // one over the same view without the edge — instead of reading past the
+  // state.
+  class View final : public graph::GroundSet {
+   public:
+    explicit View(bool grown) : grown_(grown) {}
+    std::size_t num_points() const override { return 4; }
+    double utility(NodeId v) const override {
+      return 1.0 + 0.25 * static_cast<double>(v);
+    }
+    void neighbors(NodeId v, std::vector<graph::Edge>& out) const override {
+      out.clear();
+      if (v == 0) out = {{1, 0.5f}, {3, 0.3f}};
+      if (v == 0 && grown_) out.push_back({NodeId{1} << 40, 0.25f});
+      if (v == 1) out = {{0, 0.5f}, {2, 0.4f}};
+      if (v == 2) out = {{1, 0.4f}};
+      if (v == 3) out = {{0, 0.3f}};
+    }
+
+   private:
+    bool grown_;
+  };
+
+  const View grown(true);
+  const View plain(false);
+  SelectionState conditioning(4);
+  conditioning.select(3);
+  const std::vector<NodeId> members{0, 1, 2};
+  const auto solve = [&](const ObjectiveKernel& kernel, PartitionSolver solver) {
+    SubproblemArena arena;
+    return solve_partition(kernel, members, 2, &conditioning, arena, solver, 0.5, 7);
+  };
+  const auto expect_same = [&](const ObjectiveKernel& on_grown,
+                               const ObjectiveKernel& on_plain) {
+    for (const PartitionSolver solver :
+         {PartitionSolver::kPriorityQueue, PartitionSolver::kStochastic}) {
+      const GreedyResult got = solve(on_grown, solver);
+      const GreedyResult want = solve(on_plain, solver);
+      EXPECT_EQ(got.selected, want.selected) << on_grown.name();
+      EXPECT_EQ(got.objective, want.objective) << on_grown.name();
+      EXPECT_EQ(got.selected.size(), 2u) << on_grown.name();
+    }
+  };
+  expect_same(PairwiseKernel(grown, {}), PairwiseKernel(plain, {}));
+  expect_same(FacilityLocationKernel(grown, {}), FacilityLocationKernel(plain, {}));
+  expect_same(SaturatedCoverageKernel(grown, {}), SaturatedCoverageKernel(plain, {}));
 }
 
 TEST(NaiveGreedy, EmptyBudget) {

@@ -1,10 +1,12 @@
 // Parity suite for the incremental kernel state and the batched solve loop:
-// the flat arena-backed state (make_incremental_state) must stay within
-// tolerance of the kernel's brute-force exact oracle (marginal_gain), its
-// batched and single gains must agree bit for bit, and the batched lazy and
-// sampled drivers must pick exactly what one-at-a-time loops over the same
-// state pick — across randomized instances, adversarial ties, duplicate
-// weights, conditioning on pre-selected state, and empty partitions.
+// the flat arena-backed state (make_incremental_state, or for pairwise, which
+// keeps none, the plain-loop reference in tests/testing/pairwise_reference.h)
+// must stay within tolerance of the kernel's brute-force exact oracle
+// (marginal_gain), its batched and single gains must agree bit for bit, and
+// the batched lazy and sampled drivers must pick exactly what one-at-a-time
+// loops over the same state pick — across randomized instances, adversarial
+// ties, duplicate weights, conditioning on pre-selected state, and empty
+// partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 #include <vector>
 
 #include "../testing/lazy_reference.h"
+#include "../testing/naive_greedy.h"
+#include "../testing/pairwise_reference.h"
 #include "../testing/test_instances.h"
 #include "baselines/baselines.h"
 #include "baselines/gain_engine.h"
@@ -25,7 +29,9 @@
 namespace subsel::core {
 namespace {
 
+using subsel::testing::incremental_state_for;
 using subsel::testing::Instance;
+using subsel::testing::naive_greedy;
 using subsel::testing::random_instance;
 
 /// All three built-in kernels over one ground set.
@@ -65,7 +71,7 @@ void expect_state_self_consistent(const ObjectiveKernel& kernel,
   Subproblem& sub =
       materialize_subproblem_topology(kernel.ground_set(), members, arena);
   const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(arena);
+      incremental_state_for(kernel, arena);
   state->reset(sub, conditioning);
   const std::vector<double> first_priorities = sub.priorities;
   state->reset(sub, conditioning);
@@ -140,7 +146,7 @@ TEST(IncrementalStateParity, GainsTrackBruteForceOracle) {
     Subproblem& sub =
         materialize_subproblem_topology(ground_set, members, arena);
     const std::unique_ptr<KernelIncrementalState> state =
-        kernel->make_incremental_state(arena);
+        incremental_state_for(*kernel, arena);
     state->reset(sub, nullptr);
 
     std::vector<std::uint8_t> membership(n, 0);
@@ -177,7 +183,7 @@ TEST(IncrementalStateParity, ConditionedGainsTrackBruteForceOracle) {
     SubproblemArena arena;
     Subproblem& sub = materialize_subproblem_topology(ground_set, members, arena);
     const std::unique_ptr<KernelIncrementalState> state =
-        kernel->make_incremental_state(arena);
+        incremental_state_for(*kernel, arena);
     state->reset(sub, &conditioning);
 
     std::vector<std::uint8_t> membership(n, 0);
@@ -206,7 +212,7 @@ void expect_drivers_agree(const ObjectiveKernel& kernel,
   Subproblem& reference_sub = materialize_subproblem_topology(
       kernel.ground_set(), members, reference_arena);
   const std::unique_ptr<KernelIncrementalState> reference_state =
-      kernel.make_incremental_state(reference_arena);
+      incremental_state_for(kernel, reference_arena);
   reference_state->reset(reference_sub, nullptr);
   const GreedyResult lazy = subsel::testing::one_at_a_time_lazy_greedy(
       reference_sub, k, *reference_state);
@@ -215,7 +221,7 @@ void expect_drivers_agree(const ObjectiveKernel& kernel,
   Subproblem& state_sub = materialize_subproblem_topology(
       kernel.ground_set(), members, state_arena);
   const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(state_arena);
+      incremental_state_for(kernel, state_arena);
   state->reset(state_sub, nullptr);
   const GreedyResult batched =
       incremental_greedy_on_subproblem(state_sub, k, *state, state_arena);
@@ -305,29 +311,27 @@ TEST(BatchedLazyDriver, HandlesEmptyAndDegeneratePartitions) {
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena arena;
     // Empty member list.
-    const GreedyResult empty = solve_partition(
-        ground_set, std::span<const NodeId>{}, 5, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1);
+    const GreedyResult empty =
+        solve_partition(*kernel, std::span<const NodeId>{}, 5, nullptr, arena,
+                        PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_TRUE(empty.selected.empty()) << kernel->name();
     EXPECT_EQ(empty.objective, 0.0) << kernel->name();
 
     // k = 0 on a non-empty partition.
     std::vector<NodeId> members = {1, 5, 9};
     const GreedyResult zero = solve_partition(
-        ground_set, members, 0, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1);
+        *kernel, members, 0, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_TRUE(zero.selected.empty()) << kernel->name();
 
     // k beyond the partition size selects everything.
     const GreedyResult all = solve_partition(
-        ground_set, members, 64, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1);
+        *kernel, members, 64, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_EQ(all.selected.size(), members.size()) << kernel->name();
 
     // Duplicate members are rejected on both gain paths.
     std::vector<NodeId> duplicates = {1, 5, 5};
-    EXPECT_THROW(solve_partition(ground_set, duplicates, 2, *kernel, nullptr,
-                                 arena, PartitionSolver::kPriorityQueue, 0.1, 1),
+    EXPECT_THROW(solve_partition(*kernel, duplicates, 2, nullptr, arena,
+                                 PartitionSolver::kPriorityQueue, 0.1, 1),
                  std::invalid_argument)
         << kernel->name();
   }
@@ -349,13 +353,13 @@ TEST(SolvePartition, MatchesOneAtATimeLazyLoop) {
     SubproblemArena arena;
     std::size_t state_bytes = 0;
     const GreedyResult solved = solve_partition(
-        ground_set, members, k, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 3, nullptr, &state_bytes);
+        *kernel, members, k, nullptr, arena, PartitionSolver::kPriorityQueue,
+        0.1, 3, nullptr, &state_bytes);
 
     SubproblemArena reference_arena;
     Subproblem& sub =
         materialize_subproblem_topology(ground_set, members, reference_arena);
-    const auto state = kernel->make_incremental_state(reference_arena);
+    const auto state = incremental_state_for(*kernel, reference_arena);
     state->reset(sub, nullptr);
     const GreedyResult expected =
         subsel::testing::one_at_a_time_lazy_greedy(sub, k, *state);
@@ -388,7 +392,7 @@ void expect_sampled_drivers_agree(const ObjectiveKernel& kernel,
   Subproblem& reference_sub = materialize_subproblem_topology(
       kernel.ground_set(), members, reference_arena);
   const std::unique_ptr<KernelIncrementalState> reference_state =
-      kernel.make_incremental_state(reference_arena);
+      incremental_state_for(kernel, reference_arena);
   reference_state->reset(reference_sub, conditioning);
   const GreedyResult expected = subsel::testing::one_at_a_time_sampled_greedy(
       reference_sub, k, *reference_state, epsilon, seed);
@@ -397,7 +401,7 @@ void expect_sampled_drivers_agree(const ObjectiveKernel& kernel,
   Subproblem& state_sub = materialize_subproblem_topology(
       kernel.ground_set(), members, state_arena);
   const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(state_arena);
+      incremental_state_for(kernel, state_arena);
   state->reset(state_sub, conditioning, /*init_priorities=*/false);
   const GreedyResult direct = stochastic_greedy_on_subproblem(
       state_sub, k, *state, epsilon, seed, state_arena);
@@ -406,8 +410,8 @@ void expect_sampled_drivers_agree(const ObjectiveKernel& kernel,
 
   SubproblemArena arena;
   const GreedyResult solved =
-      solve_partition(kernel.ground_set(), members, k, kernel, conditioning,
-                      arena, PartitionSolver::kStochastic, epsilon, seed);
+      solve_partition(kernel, members, k, conditioning, arena,
+                      PartitionSolver::kStochastic, epsilon, seed);
   EXPECT_EQ(solved.selected, expected.selected) << kernel.name();
   if (kernel.pairwise_params() != nullptr) {
     EXPECT_NEAR(solved.objective, expected.objective,

@@ -1,8 +1,7 @@
-// The ObjectiveKernel seam: pairwise-kernel bit-equivalence against the
-// ObjectiveParams round loops, the incremental-state
-// drivers against closed-form Algorithm 2, and the coverage-family kernels
-// (facility location, saturated coverage) against brute-force marginal-gain
-// greedy.
+// The ObjectiveKernel seam: the incremental-state drivers fed by the
+// plain-loop pairwise reference state against closed-form Algorithm 2, the
+// coverage-family kernels (facility location, saturated coverage) against
+// brute-force marginal-gain greedy, and kernel-driven distributed greedy.
 #include "core/objective_kernel.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "../testing/naive_greedy.h"
+#include "../testing/pairwise_reference.h"
 #include "../testing/test_instances.h"
 #include "core/coverage_kernel.h"
 #include "core/distributed_greedy.h"
@@ -24,6 +25,7 @@ namespace subsel::core {
 namespace {
 
 using subsel::testing::Instance;
+using subsel::testing::PairwiseIncrementalState;
 using subsel::testing::random_instance;
 
 TEST(ObjectiveParamsValidation, RejectsMalformedAlphaBeta) {
@@ -47,62 +49,6 @@ TEST(ObjectiveParamsValidation, PairwiseObjectiveFailsFastOnAlphaZero) {
                std::invalid_argument);
   EXPECT_THROW((PairwiseKernel(ground_set, ObjectiveParams{0.0, 1.0})),
                std::invalid_argument);
-  DistributedGreedyConfig config;
-  config.objective = {0.0, 1.0};
-  config.num_machines = 2;
-  config.num_rounds = 1;
-  EXPECT_THROW(distributed_greedy(ground_set, 5, config), std::invalid_argument);
-}
-
-TEST(PairwiseKernelEquivalence, DistributedGreedyWithKernelIsBitIdentical) {
-  const Instance instance = random_instance(400, 5, 9200);
-  const auto ground_set = instance.ground_set();
-  const auto params = ObjectiveParams::from_alpha(0.8);
-  const PairwiseKernel kernel(ground_set, params);
-
-  DistributedGreedyConfig legacy;
-  legacy.objective = params;
-  legacy.num_machines = 4;
-  legacy.num_rounds = 3;
-  legacy.seed = 77;
-  const DistributedGreedyResult expected = distributed_greedy(ground_set, 40, legacy);
-
-  DistributedGreedyConfig with_kernel = legacy;
-  with_kernel.kernel = &kernel;
-  const DistributedGreedyResult actual =
-      distributed_greedy(ground_set, 40, with_kernel);
-
-  EXPECT_EQ(actual.selected, expected.selected);
-  EXPECT_EQ(actual.objective, expected.objective);  // bit-identical
-  ASSERT_EQ(actual.rounds.size(), expected.rounds.size());
-  for (std::size_t r = 0; r < actual.rounds.size(); ++r) {
-    EXPECT_EQ(actual.rounds[r].output_size, expected.rounds[r].output_size);
-    EXPECT_EQ(actual.rounds[r].peak_partition_bytes,
-              expected.rounds[r].peak_partition_bytes);
-  }
-}
-
-TEST(PairwiseKernelEquivalence, StochasticPartitionSolverIsBitIdentical) {
-  const Instance instance = random_instance(300, 5, 9210);
-  const auto ground_set = instance.ground_set();
-  const auto params = ObjectiveParams::from_alpha(0.9);
-  const PairwiseKernel kernel(ground_set, params);
-
-  DistributedGreedyConfig legacy;
-  legacy.objective = params;
-  legacy.num_machines = 3;
-  legacy.num_rounds = 2;
-  legacy.partition_solver = PartitionSolver::kStochastic;
-  legacy.stochastic_epsilon = 0.2;
-  legacy.seed = 11;
-  const DistributedGreedyResult expected = distributed_greedy(ground_set, 30, legacy);
-
-  DistributedGreedyConfig with_kernel = legacy;
-  with_kernel.kernel = &kernel;
-  const DistributedGreedyResult actual =
-      distributed_greedy(ground_set, 30, with_kernel);
-  EXPECT_EQ(actual.selected, expected.selected);
-  EXPECT_EQ(actual.objective, expected.objective);
 }
 
 TEST(PairwiseIncrementalState, LazyDriverMatchesClosedFormAlgorithmTwo) {
@@ -114,7 +60,6 @@ TEST(PairwiseIncrementalState, LazyDriverMatchesClosedFormAlgorithmTwo) {
   for (std::uint64_t seed : {9301ULL, 9302ULL}) {
     const Instance instance = random_instance(150, 6, seed);
     const auto ground_set = instance.ground_set();
-    const PairwiseKernel kernel(ground_set, params);
 
     std::vector<NodeId> members(150);
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -131,11 +76,10 @@ TEST(PairwiseIncrementalState, LazyDriverMatchesClosedFormAlgorithmTwo) {
     SubproblemArena lazy_arena;
     Subproblem& lazy_sub =
         materialize_subproblem_topology(ground_set, members, lazy_arena);
-    const std::unique_ptr<KernelIncrementalState> state =
-        kernel.make_incremental_state(lazy_arena);
-    state->reset(lazy_sub, nullptr);
+    PairwiseIncrementalState state(ground_set, params);
+    state.reset(lazy_sub, nullptr);
     const GreedyResult lazy =
-        incremental_greedy_on_subproblem(lazy_sub, k, *state, lazy_arena);
+        incremental_greedy_on_subproblem(lazy_sub, k, state, lazy_arena);
 
     EXPECT_EQ(lazy.selected, closed.selected);
     EXPECT_NEAR(lazy.objective, closed.objective, 1e-9);
@@ -146,7 +90,6 @@ TEST(PairwiseIncrementalState, ConditionsOnPreselectedState) {
   const Instance instance = random_instance(80, 6, 9400);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.6);
-  const PairwiseKernel kernel(ground_set, params);
 
   SelectionState state(80);
   state.select(3);
@@ -165,24 +108,23 @@ TEST(PairwiseIncrementalState, ConditionsOnPreselectedState) {
   SubproblemArena lazy_arena;
   Subproblem& lazy_sub =
       materialize_subproblem_topology(ground_set, members, lazy_arena);
-  const std::unique_ptr<KernelIncrementalState> incremental =
-      kernel.make_incremental_state(lazy_arena);
-  incremental->reset(lazy_sub, &state);
+  PairwiseIncrementalState incremental(ground_set, params);
+  incremental.reset(lazy_sub, &state);
   const GreedyResult lazy =
-      incremental_greedy_on_subproblem(lazy_sub, k, *incremental, lazy_arena);
+      incremental_greedy_on_subproblem(lazy_sub, k, incremental, lazy_arena);
   EXPECT_EQ(lazy.selected, closed.selected);
 }
 
 template <typename Kernel>
 void expect_matches_naive(const Kernel& kernel, std::size_t k) {
-  const GreedyResult expected = naive_greedy(kernel, k);
+  const GreedyResult expected = subsel::testing::naive_greedy(kernel, k);
 
   const std::size_t n = kernel.ground_set().num_points();
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
   GreedyResult actual =
-      solve_partition(kernel.ground_set(), members, k, kernel, nullptr, arena,
+      solve_partition(kernel, members, k, nullptr, arena,
                       PartitionSolver::kPriorityQueue, 0.1, 0, nullptr);
   // solve_partition reports pick order; naive too. Same order expected.
   EXPECT_EQ(actual.selected, expected.selected);
@@ -233,7 +175,6 @@ TEST(StochasticIncrementalDriver, MatchesPairwiseStochasticSelections) {
   const Instance instance = random_instance(160, 6, 9700);
   const auto ground_set = instance.ground_set();
   const auto params = ObjectiveParams::from_alpha(0.85);
-  const PairwiseKernel kernel(ground_set, params);
 
   std::vector<NodeId> members(160);
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -248,11 +189,10 @@ TEST(StochasticIncrementalDriver, MatchesPairwiseStochasticSelections) {
   SubproblemArena state_arena;
   Subproblem& state_sub =
       materialize_subproblem_topology(ground_set, members, state_arena);
-  const std::unique_ptr<KernelIncrementalState> state =
-      kernel.make_incremental_state(state_arena);
-  state->reset(state_sub, nullptr, /*init_priorities=*/false);
+  PairwiseIncrementalState state(ground_set, params);
+  state.reset(state_sub, nullptr, /*init_priorities=*/false);
   const GreedyResult actual = stochastic_greedy_on_subproblem(
-      state_sub, 25, *state, 0.2, 555, state_arena);
+      state_sub, 25, state, 0.2, 555, state_arena);
 
   EXPECT_EQ(actual.selected, expected.selected);
   EXPECT_NEAR(actual.objective, expected.objective, 1e-9);
@@ -266,13 +206,12 @@ TEST(StochasticIncrementalDriver, NewKernelsRunThroughStochasticPartitions) {
   for (const ObjectiveKernel* kernel :
        std::vector<const ObjectiveKernel*>{&fl, &cov}) {
     DistributedGreedyConfig config;
-    config.kernel = kernel;
     config.num_machines = 3;
     config.num_rounds = 2;
     config.partition_solver = PartitionSolver::kStochastic;
     config.stochastic_epsilon = 0.2;
     config.seed = 13;
-    const DistributedGreedyResult result = distributed_greedy(ground_set, 25, config);
+    const DistributedGreedyResult result = distributed_greedy(*kernel, 25, config);
     ASSERT_EQ(result.selected.size(), 25u) << kernel->name();
     EXPECT_TRUE(std::is_sorted(result.selected.begin(), result.selected.end()));
     EXPECT_EQ(std::adjacent_find(result.selected.begin(), result.selected.end()),
@@ -297,12 +236,11 @@ TEST(KernelCheckpoints, DifferentObjectiveConfigsDoNotResumeEachOther) {
   tau_five.saturation = 5.0;
   const SaturatedCoverageKernel kernel_five(ground_set, tau_five);
   DistributedGreedyConfig config;
-  config.kernel = &kernel_five;
   config.num_machines = 2;
   config.num_rounds = 3;
   config.checkpoint_file = checkpoint;
   config.stop_after_round = 1;  // leave a checkpoint behind
-  const DistributedGreedyResult partial = distributed_greedy(ground_set, 20, config);
+  const DistributedGreedyResult partial = distributed_greedy(kernel_five, 20, config);
   ASSERT_TRUE(partial.preempted);
 
   // Same kernel class, different saturation: must NOT resume (fingerprint
@@ -311,20 +249,19 @@ TEST(KernelCheckpoints, DifferentObjectiveConfigsDoNotResumeEachOther) {
   tau_one.saturation = 1.0;
   const SaturatedCoverageKernel kernel_one(ground_set, tau_one);
   DistributedGreedyConfig other = config;
-  other.kernel = &kernel_one;
   other.stop_after_round = 0;
-  const DistributedGreedyResult restarted = distributed_greedy(ground_set, 20, other);
+  const DistributedGreedyResult restarted = distributed_greedy(kernel_one, 20, other);
   EXPECT_EQ(restarted.resumed_rounds, 0u);
   EXPECT_EQ(restarted.rounds.size(), 3u);
 
   // And an identical configuration MUST resume.
   std::remove(checkpoint.c_str());
   const DistributedGreedyResult partial_again =
-      distributed_greedy(ground_set, 20, config);
+      distributed_greedy(kernel_five, 20, config);
   ASSERT_TRUE(partial_again.preempted);
   DistributedGreedyConfig same = config;
   same.stop_after_round = 0;
-  const DistributedGreedyResult resumed = distributed_greedy(ground_set, 20, same);
+  const DistributedGreedyResult resumed = distributed_greedy(kernel_five, 20, same);
   EXPECT_EQ(resumed.resumed_rounds, 1u);
   EXPECT_EQ(resumed.rounds.size(), 2u);
   std::remove(checkpoint.c_str());
@@ -343,11 +280,10 @@ TEST(KernelDistributedGreedy, NewKernelsRunEndToEndWithRoundsAndState) {
 
   for (const ObjectiveKernel* kernel : kernels) {
     DistributedGreedyConfig config;
-    config.kernel = kernel;
     config.num_machines = 4;
     config.num_rounds = 3;
     config.seed = 5;
-    const DistributedGreedyResult result = distributed_greedy(ground_set, 30, config);
+    const DistributedGreedyResult result = distributed_greedy(*kernel, 30, config);
     ASSERT_EQ(result.selected.size(), 30u) << kernel->name();
     EXPECT_TRUE(std::is_sorted(result.selected.begin(), result.selected.end()));
     const double fresh =

@@ -41,10 +41,9 @@ GreedyResult solve_all(const graph::GroundSet& ground_set,
                        const ObjectiveKernel& kernel, std::size_t k,
                        const ConstraintSet* constraints = nullptr) {
   SubproblemArena arena;
-  return solve_partition(ground_set, all_ids(ground_set.num_points()), k,
-                         kernel, nullptr, arena,
-                         PartitionSolver::kPriorityQueue, 0.1, 1, nullptr,
-                         nullptr, constraints);
+  return solve_partition(kernel, all_ids(ground_set.num_points()), k,
+                         nullptr, arena, PartitionSolver::kPriorityQueue,
+                         0.1, 1, nullptr, nullptr, constraints);
 }
 
 TEST(RepairSelection, UnmutatedUnconstrainedRepairIsAFixpoint) {

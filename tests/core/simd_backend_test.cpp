@@ -71,7 +71,7 @@ TEST(SimdBackend, EnvFlagParsing) {
 }
 
 // ---------------------------------------------------------------------------
-// Raw primitive parity: the active backend's cover/resid/gather kernels must
+// Raw primitive parity: the active backend's cover/resid kernels must
 // reproduce the scalar backend bit-for-bit on every length around the vector
 // width, including 0 and non-multiples.
 // ---------------------------------------------------------------------------
@@ -108,11 +108,6 @@ TEST(SimdKernelPrimitives, ActiveBackendMatchesScalarBitForBit) {
               scalar.resid_gain(nbr.data(), pw.data(), count, state.data(),
                                 self_term))
         << "resid_gain count=" << count;
-
-    std::vector<double> out_scalar(count, -1.0), out_active(count, -2.0);
-    scalar.gather(state.data(), nbr.data(), count, out_scalar.data());
-    active.gather(state.data(), nbr.data(), count, out_active.data());
-    EXPECT_EQ(out_active, out_scalar) << "gather count=" << count;
   }
 }
 
@@ -155,25 +150,25 @@ void expect_backends_agree(const graph::GroundSet& ground_set,
   const KernelSet kernels(ground_set);
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena native_arena;
-    const GreedyResult native = solve_partition(
-        ground_set, members, k, *kernel, nullptr, native_arena,
-        PartitionSolver::kPriorityQueue, 0.1, seed);
+    const GreedyResult native =
+        solve_partition(*kernel, members, k, nullptr, native_arena,
+                        PartitionSolver::kPriorityQueue, 0.1, seed);
     SubproblemArena scalar_arena;
-    const GreedyResult scalar = solve_partition_scalar(
-        ground_set, members, k, *kernel, nullptr, scalar_arena,
-        PartitionSolver::kPriorityQueue, 0.1, seed);
+    const GreedyResult scalar =
+        solve_partition_scalar(*kernel, members, k, nullptr, scalar_arena,
+                               PartitionSolver::kPriorityQueue, 0.1, seed);
     EXPECT_EQ(native.selected, scalar.selected) << kernel->name();
     EXPECT_EQ(native.objective, scalar.objective) << kernel->name();
 
     // Stochastic path too (shared Rng stream, so same candidate samples).
     SubproblemArena native_stoch;
-    const GreedyResult native_s = solve_partition(
-        ground_set, members, k, *kernel, nullptr, native_stoch,
-        PartitionSolver::kStochastic, 0.2, seed);
+    const GreedyResult native_s =
+        solve_partition(*kernel, members, k, nullptr, native_stoch,
+                        PartitionSolver::kStochastic, 0.2, seed);
     SubproblemArena scalar_stoch;
-    const GreedyResult scalar_s = solve_partition_scalar(
-        ground_set, members, k, *kernel, nullptr, scalar_stoch,
-        PartitionSolver::kStochastic, 0.2, seed);
+    const GreedyResult scalar_s =
+        solve_partition_scalar(*kernel, members, k, nullptr, scalar_stoch,
+                               PartitionSolver::kStochastic, 0.2, seed);
     EXPECT_EQ(native_s.selected, scalar_s.selected) << kernel->name();
     EXPECT_EQ(native_s.objective, scalar_s.objective) << kernel->name();
   }
@@ -210,14 +205,13 @@ TEST(SimdSolveParity, EmptyAndDegenerateSubproblems) {
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena arena;
     const GreedyResult empty = solve_partition_scalar(
-        ground_set, std::span<const NodeId>{}, 5, *kernel, nullptr, arena,
+        *kernel, std::span<const NodeId>{}, 5, nullptr, arena,
         PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_TRUE(empty.selected.empty()) << kernel->name();
 
     const std::vector<NodeId> one = {7};
     const GreedyResult single = solve_partition_scalar(
-        ground_set, one, 3, *kernel, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1);
+        *kernel, one, 3, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
     EXPECT_EQ(single.selected, one) << kernel->name();
   }
 }
@@ -255,6 +249,7 @@ TEST(SimdStateParity, GainsIdenticalUnderForcedScalarState) {
   }
 
   for (const ObjectiveKernel* kernel : kernels.all()) {
+    if (kernel->pairwise_params() != nullptr) continue;  // keeps no state
     SubproblemArena native_arena;
     Subproblem& native_sub = materialize_subproblem_topology(
         ground_set, members, native_arena);
@@ -329,12 +324,10 @@ TEST(SimdSolveParity, RandomizedPairwiseScalarVsNativeBitIdentity) {
              {PartitionSolver::kPriorityQueue, PartitionSolver::kStochastic}) {
           SubproblemArena native_arena;
           const GreedyResult native = solve_partition(
-              ground_set, members, k, kernel, nullptr, native_arena, solver,
-              0.2, seed);
+              kernel, members, k, nullptr, native_arena, solver, 0.2, seed);
           SubproblemArena scalar_arena;
           const GreedyResult scalar = solve_partition_scalar(
-              ground_set, members, k, kernel, nullptr, scalar_arena, solver,
-              0.2, seed);
+              kernel, members, k, nullptr, scalar_arena, solver, 0.2, seed);
           if (native.selected != scalar.selected) {
             return "selections diverged (solver "
                    + std::to_string(static_cast<int>(solver)) + ")";
@@ -369,12 +362,12 @@ TEST(SimdSolveParity, RandomizedConstrainedSolvesStayBitIdentical) {
 
         SubproblemArena native_arena;
         const GreedyResult native = solve_partition(
-            ground_set, members, k, kernel, nullptr, native_arena,
+            kernel, members, k, nullptr, native_arena,
             PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
             &constraints);
         SubproblemArena scalar_arena;
         const GreedyResult scalar = solve_partition_scalar(
-            ground_set, members, k, kernel, nullptr, scalar_arena,
+            kernel, members, k, nullptr, scalar_arena,
             PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
             &constraints);
         if (native.selected != scalar.selected) return "selections diverged";
@@ -420,12 +413,6 @@ TEST(SimdKernelPrimitives, RandomizedLengthsMatchScalarBitForBit) {
                               self_term);
         if (resid_native != resid_scalar) {
           return "resid_gain diverged at count " + std::to_string(count);
-        }
-        std::vector<double> out_scalar(count), out_active(count);
-        scalar.gather(state.data(), nbr.data(), count, out_scalar.data());
-        active.gather(state.data(), nbr.data(), count, out_active.data());
-        if (out_active != out_scalar) {
-          return "gather diverged at count " + std::to_string(count);
         }
         return std::nullopt;
       });

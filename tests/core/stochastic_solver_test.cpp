@@ -89,16 +89,16 @@ TEST(StochasticSubproblemSolver, RejectsBadEpsilon) {
 TEST(DistributedGreedyStochastic, SolverChoiceKeepsQuality) {
   const Instance instance = random_instance(600, 6, 956);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   double pq_total = 0.0, stochastic_total = 0.0;
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     DistributedGreedyConfig config;
-    config.objective = ObjectiveParams::from_alpha(0.9);
     config.num_machines = 8;
     config.num_rounds = 4;
     config.seed = seed;
-    pq_total += distributed_greedy(ground_set, 60, config).objective;
+    pq_total += distributed_greedy(kernel, 60, config).objective;
     config.partition_solver = PartitionSolver::kStochastic;
-    stochastic_total += distributed_greedy(ground_set, 60, config).objective;
+    stochastic_total += distributed_greedy(kernel, 60, config).objective;
   }
   EXPECT_EQ(pq_total > 0, true);
   EXPECT_NEAR(stochastic_total / pq_total, 1.0, 0.06);
@@ -107,13 +107,13 @@ TEST(DistributedGreedyStochastic, SolverChoiceKeepsQuality) {
 TEST(DistributedGreedyStochastic, DeterministicGivenSeed) {
   const Instance instance = random_instance(200, 4, 957);
   const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
   DistributedGreedyConfig config;
-  config.objective = ObjectiveParams::from_alpha(0.9);
   config.num_machines = 4;
   config.num_rounds = 3;
   config.partition_solver = PartitionSolver::kStochastic;
-  const auto a = distributed_greedy(ground_set, 20, config);
-  const auto b = distributed_greedy(ground_set, 20, config);
+  const auto a = distributed_greedy(kernel, 20, config);
+  const auto b = distributed_greedy(kernel, 20, config);
   EXPECT_EQ(a.selected, b.selected);
 }
 

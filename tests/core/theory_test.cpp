@@ -14,6 +14,7 @@
 
 #include <cmath>
 
+#include "../testing/naive_greedy.h"
 #include "../testing/test_instances.h"
 #include "baselines/baselines.h"
 #include "core/bounding.h"
@@ -26,6 +27,7 @@ namespace {
 
 using subsel::testing::Instance;
 using subsel::testing::brute_force_optimum;
+using subsel::testing::naive_greedy;
 using subsel::testing::random_instance;
 
 // ---------------------------------------------------------------------------
@@ -103,9 +105,7 @@ TEST_P(BoundingTheorySweep, ExactBoundingNeverMislabelsOptimalPoints) {
     std::vector<NodeId> optimal;
     brute_force_optimum(ground_set, params, k, &optimal);
 
-    BoundingConfig config;
-    config.objective = params;
-    const auto result = bound(ground_set, k, config);
+    const auto result = bound(PairwiseKernel(ground_set, params), k, BoundingConfig{});
     for (NodeId v = 0; v < 14; ++v) {
       const bool in_optimal = std::binary_search(optimal.begin(), optimal.end(), v);
       if (result.state.is_selected(v)) {
@@ -127,11 +127,10 @@ TEST_P(BoundingTheorySweep, ExactBoundingPlusGreedyIsHalfApproximation) {
   const double optimum = brute_force_optimum(ground_set, params, k);
 
   SelectionPipelineConfig config;
-  config.objective = params;
   config.bounding.sampling = BoundingSampling::kNone;
   config.greedy.num_machines = 1;
   config.greedy.num_rounds = 1;
-  const auto result = select_subset(ground_set, k, config);
+  const auto result = select_subset(PairwiseKernel(ground_set, params), k, config);
   EXPECT_GE(result.objective, 0.5 * optimum - 1e-9) << "seed " << seed;
 }
 
@@ -165,10 +164,8 @@ TEST_P(Theorem46Sweep, ApproximateBoundingMeetsTheGuarantee) {
 
   // gamma from the initial bounds (empty partial solution).
   std::vector<double> u_min, u_max;
-  BoundingConfig probe;
-  probe.objective = params;
-  core::detail::compute_utility_bounds(ground_set, SelectionState(14), probe, 0,
-                                       u_min, u_max);
+  core::detail::compute_utility_bounds(ground_set, params, SelectionState(14),
+                                       BoundingConfig{}, 0, u_min, u_max);
   double gamma = 1.0;
   bool gamma_valid = true;
   for (std::size_t i = 0; i < u_min.size(); ++i) {
@@ -181,13 +178,12 @@ TEST_P(Theorem46Sweep, ApproximateBoundingMeetsTheGuarantee) {
   if (!gamma_valid) GTEST_SKIP() << "instance violates Umin > 0 precondition";
 
   SelectionPipelineConfig config;
-  config.objective = params;
   config.bounding.sampling = BoundingSampling::kUniform;
   config.bounding.sample_fraction = p;
   config.bounding.seed = seed;
   config.greedy.num_machines = 1;
   config.greedy.num_rounds = 1;
-  const auto result = select_subset(ground_set, k, config);
+  const auto result = select_subset(PairwiseKernel(ground_set, params), k, config);
 
   const double bound = optimum / (2.0 * (1.0 + gamma * (1.0 - p * p)));
   EXPECT_GE(result.objective, bound - 1e-9)
@@ -213,7 +209,7 @@ TEST_P(GreedyEquivalenceSweep, AllImplementationsAgree) {
 
   const auto fast = centralized_greedy(instance.graph, instance.utilities, params, k);
   const auto naive = naive_greedy(ground_set, params, k);
-  const auto lazy = baselines::lazy_greedy(ground_set, params, k);
+  const auto lazy = baselines::lazy_greedy(PairwiseKernel(ground_set, params), k);
 
   EXPECT_EQ(fast.selected, naive.selected) << "seed " << seed;
   EXPECT_EQ(fast.selected, lazy.selected) << "seed " << seed;

@@ -141,9 +141,9 @@ TEST(FaultInjection, BeamBoundingIdenticalUnderFaults) {
   // exact same grow/shrink decisions on a lossy cluster.
   const Instance instance = random_instance(120, 5, 930);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
 
   beam::BoundingConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.sampling = core::BoundingSampling::kUniform;
   config.sample_fraction = 0.3;
 
@@ -151,8 +151,8 @@ TEST(FaultInjection, BeamBoundingIdenticalUnderFaults) {
   // headroom note in KthLargestDistributedSurvivesFaults.
   Pipeline clean;
   Pipeline faulty(faulty_options(0.2, 16, 10));
-  const auto reference = beam::beam_bound(clean, ground_set, 20, config);
-  const auto lossy = beam::beam_bound(faulty, ground_set, 20, config);
+  const auto reference = beam::beam_bound(clean, kernel, 20, config);
+  const auto lossy = beam::beam_bound(faulty, kernel, 20, config);
 
   EXPECT_EQ(lossy.state.selected_ids(), reference.state.selected_ids());
   EXPECT_EQ(lossy.state.unassigned_ids(), reference.state.unassigned_ids());
@@ -164,16 +164,16 @@ TEST(FaultInjection, BeamBoundingIdenticalUnderFaults) {
 TEST(FaultInjection, BeamGreedyIdenticalUnderFaults) {
   const Instance instance = random_instance(300, 4, 931);
   const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
 
   beam::BeamGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 8;
   config.num_rounds = 3;
 
   Pipeline clean;
   Pipeline faulty(faulty_options(0.2, 16, 10));
-  const auto reference = beam::beam_distributed_greedy(clean, ground_set, 30, config);
-  const auto lossy = beam::beam_distributed_greedy(faulty, ground_set, 30, config);
+  const auto reference = beam::beam_distributed_greedy(clean, kernel, 30, config);
+  const auto lossy = beam::beam_distributed_greedy(faulty, kernel, 30, config);
   EXPECT_EQ(lossy.selected, reference.selected);
 }
 

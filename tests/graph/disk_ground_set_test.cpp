@@ -106,13 +106,13 @@ TEST_F(DiskGroundSetTest, BoundingMatchesInMemoryDecisions) {
   const DiskGroundSet disk(graph_path_, dataset_.utilities);
   const InMemoryGroundSet memory(dataset_.graph, dataset_.utilities);
 
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
   core::BoundingConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.sampling = core::BoundingSampling::kUniform;
   config.sample_fraction = 0.3;
 
-  const auto from_disk = core::bound(disk, 80, config);
-  const auto from_memory = core::bound(memory, 80, config);
+  const auto from_disk = core::bound(core::PairwiseKernel(disk, params), 80, config);
+  const auto from_memory = core::bound(core::PairwiseKernel(memory, params), 80, config);
   EXPECT_EQ(from_disk.state.selected_ids(), from_memory.state.selected_ids());
   EXPECT_EQ(from_disk.state.unassigned_ids(), from_memory.state.unassigned_ids());
   EXPECT_EQ(from_disk.grow_rounds, from_memory.grow_rounds);
@@ -122,12 +122,14 @@ TEST_F(DiskGroundSetTest, DistributedGreedyMatchesInMemorySelection) {
   const DiskGroundSet disk(graph_path_, dataset_.utilities);
   const InMemoryGroundSet memory(dataset_.graph, dataset_.utilities);
 
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 8;
   config.num_rounds = 3;
-  const auto from_disk = core::distributed_greedy(disk, 80, config);
-  const auto from_memory = core::distributed_greedy(memory, 80, config);
+  const auto from_disk =
+      core::distributed_greedy(core::PairwiseKernel(disk, params), 80, config);
+  const auto from_memory =
+      core::distributed_greedy(core::PairwiseKernel(memory, params), 80, config);
   EXPECT_EQ(from_disk.selected, from_memory.selected);
   EXPECT_EQ(from_disk.objective, from_memory.objective);
 }

@@ -229,12 +229,12 @@ TEST(OverlayGroundSet, SolveOnOverlayMatchesSolveOnMaterialization) {
           members[i] = static_cast<NodeId>(i);
         }
         core::SubproblemArena arena_a, arena_b;
-        const core::GreedyResult on_overlay = core::solve_partition(
-            overlay, members, k, overlay_kernel, nullptr, arena_a,
-            core::PartitionSolver::kPriorityQueue, 0.1, seed);
-        const core::GreedyResult on_flat = core::solve_partition(
-            flat, members, k, flat_kernel, nullptr, arena_b,
-            core::PartitionSolver::kPriorityQueue, 0.1, seed);
+        const core::GreedyResult on_overlay =
+            core::solve_partition(overlay_kernel, members, k, nullptr, arena_a,
+                                  core::PartitionSolver::kPriorityQueue, 0.1, seed);
+        const core::GreedyResult on_flat =
+            core::solve_partition(flat_kernel, members, k, nullptr, arena_b,
+                                  core::PartitionSolver::kPriorityQueue, 0.1, seed);
         if (on_overlay.selected != on_flat.selected) {
           return "selections diverge between overlay and materialization";
         }
@@ -295,9 +295,9 @@ TEST(OverlayGroundSet, MutateWhileSolveStress) {
   core::SubproblemArena arena;
   for (int iteration = 0; iteration < 30; ++iteration) {
     const core::PairwiseKernel kernel(overlay, params);
-    const core::GreedyResult result = core::solve_partition(
-        overlay, members, 10, kernel, nullptr, arena,
-        core::PartitionSolver::kPriorityQueue, 0.1, 7);
+    const core::GreedyResult result =
+        core::solve_partition(kernel, members, 10, nullptr, arena,
+                              core::PartitionSolver::kPriorityQueue, 0.1, 7);
     ASSERT_LE(result.selected.size(), 10u);
     for (const NodeId v : result.selected) {
       ASSERT_GE(v, 0);

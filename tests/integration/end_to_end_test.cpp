@@ -39,23 +39,24 @@ class EndToEndTest : public ::testing::Test {
 TEST_F(EndToEndTest, FullPipelineOnToyDataset) {
   const data::Dataset dataset = data::toy_dataset(600, 10, 33);
   const auto ground_set = dataset.ground_set();
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, params);
   const std::size_t k = 60;
 
   core::SelectionPipelineConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.use_bounding = true;
   config.bounding.sampling = core::BoundingSampling::kUniform;
   config.bounding.sample_fraction = 0.3;
   config.greedy.num_machines = 8;
   config.greedy.num_rounds = 4;
 
-  const auto result = core::select_subset(ground_set, k, config);
+  const auto result = core::select_subset(kernel, k, config);
   EXPECT_EQ(result.selected.size(), k);
 
   // Compare against centralized greedy and random floor via normalization.
-  const auto centralized = core::centralized_greedy(
-      dataset.graph, dataset.utilities, config.objective, k);
-  const auto random = baselines::random_selection(ground_set, config.objective, k, 3);
+  const auto centralized =
+      core::centralized_greedy(dataset.graph, dataset.utilities, params, k);
+  const auto random = baselines::random_selection(kernel, k, 3);
   core::ScoreNormalizer normalizer(centralized.objective,
                                    {result.objective, random.objective});
   const double score = normalizer.normalize(result.objective);
@@ -69,10 +70,10 @@ TEST_F(EndToEndTest, DistributedScoringAgreesWithLocalScoring) {
   const auto params = core::ObjectiveParams::from_alpha(0.9);
 
   core::SelectionPipelineConfig config;
-  config.objective = params;
   config.greedy.num_machines = 4;
   config.greedy.num_rounds = 2;
-  const auto result = core::select_subset(ground_set, 40, config);
+  const auto result =
+      core::select_subset(core::PairwiseKernel(ground_set, params), 40, config);
 
   dataflow::PipelineOptions options;
   options.num_shards = 16;
@@ -92,9 +93,9 @@ TEST_F(EndToEndTest, LargerThanMemoryVirtualDatasetPipeline) {
   perturbed_config.perturbations_per_point = 200;
   const data::PerturbedGroundSet ground_set(base, perturbed_config);
   ASSERT_EQ(ground_set.num_points(), 12'800u);
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
 
   core::SelectionPipelineConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.use_bounding = true;
   config.bounding.sampling = core::BoundingSampling::kUniform;
   config.bounding.sample_fraction = 0.3;
@@ -102,13 +103,13 @@ TEST_F(EndToEndTest, LargerThanMemoryVirtualDatasetPipeline) {
   config.greedy.num_rounds = 2;
 
   const std::size_t k = 1280;  // 10 %
-  const auto result = core::select_subset(ground_set, k, config);
+  const auto result = core::select_subset(kernel, k, config);
   EXPECT_EQ(result.selected.size(), k);
   std::set<core::NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), k);
 
   // Quality sanity: beat random selection.
-  const auto random = baselines::random_selection(ground_set, config.objective, k, 5);
+  const auto random = baselines::random_selection(kernel, k, 5);
   EXPECT_GT(result.objective, random.objective);
 }
 
@@ -120,19 +121,17 @@ TEST_F(EndToEndTest, GreeDiMergeNeedsMoreMemoryThanMultiRoundPartitions) {
   // per-partition peak stays near |V|/m.
   const data::Dataset dataset = data::toy_dataset(800, 10, 36);
   const auto ground_set = dataset.ground_set();
-  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
   const std::size_t k = 400;  // 50 % subset: merge holds min(8*400, |V|) = |V|
 
   baselines::GreeDiConfig greedi_config;
-  greedi_config.objective = params;
   greedi_config.num_machines = 8;
-  const auto greedi_result = baselines::greedi(ground_set, k, greedi_config);
+  const auto greedi_result = baselines::greedi(kernel, k, greedi_config);
 
   core::DistributedGreedyConfig dist_config;
-  dist_config.objective = params;
   dist_config.num_machines = 8;
   dist_config.num_rounds = 4;
-  const auto dist_result = core::distributed_greedy(ground_set, k, dist_config);
+  const auto dist_result = core::distributed_greedy(kernel, k, dist_config);
 
   std::size_t dist_peak = 0;
   for (const auto& round : dist_result.rounds) {
@@ -235,28 +234,30 @@ TEST_F(EndToEndTest, DiskCheckpointFaultToleranceCompose) {
   cache.max_cached_blocks = 8;
   const graph::DiskGroundSet disk(data_path + ".graph",
                                   std::move(scalars.utilities), cache);
+  const auto params = core::ObjectiveParams::from_alpha(0.9);
+  const core::PairwiseKernel disk_kernel(disk, params);
 
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 6;
   config.num_rounds = 5;
   config.checkpoint_file = (scratch / "run.ckpt").string();
   config.stop_after_round = 2;
 
-  auto result = core::distributed_greedy(disk, 120, config);
+  auto result = core::distributed_greedy(disk_kernel, 120, config);
   EXPECT_TRUE(result.preempted);
-  result = core::distributed_greedy(disk, 120, config);  // rounds 3-4
+  result = core::distributed_greedy(disk_kernel, 120, config);  // rounds 3-4
   EXPECT_TRUE(result.preempted);
   config.stop_after_round = 0;
-  result = core::distributed_greedy(disk, 120, config);  // finish
+  result = core::distributed_greedy(disk_kernel, 120, config);  // finish
   EXPECT_FALSE(result.preempted);
   EXPECT_EQ(result.selected.size(), 120u);
 
   // Reference: in-memory, no checkpointing.
   const auto memory_ground_set = dataset.ground_set();
+  const core::PairwiseKernel memory_kernel(memory_ground_set, params);
   core::DistributedGreedyConfig plain = config;
   plain.checkpoint_file.clear();
-  const auto reference = core::distributed_greedy(memory_ground_set, 120, plain);
+  const auto reference = core::distributed_greedy(memory_kernel, 120, plain);
   EXPECT_EQ(result.selected, reference.selected);
 
   // Re-score through a lossy dataflow cluster.
@@ -265,10 +266,10 @@ TEST_F(EndToEndTest, DiskCheckpointFaultToleranceCompose) {
   options.shard_failure_probability = 0.2;
   options.max_shard_attempts = 10;
   dataflow::Pipeline pipeline(options);
-  const double distributed_score = beam::beam_score(
-      pipeline, disk, result.selected, config.objective);
-  core::PairwiseObjective objective(memory_ground_set, config.objective);
-  EXPECT_NEAR(distributed_score, objective.evaluate(result.selected), 1e-9);
+  const double distributed_score =
+      beam::beam_score(pipeline, disk, result.selected, params);
+  EXPECT_NEAR(distributed_score, memory_kernel.objective().evaluate(result.selected),
+              1e-9);
   EXPECT_GT(pipeline.counter("shard_retries"), 0u);
 
   std::filesystem::remove_all(scratch);

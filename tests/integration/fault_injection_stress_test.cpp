@@ -52,14 +52,14 @@ class FaultInjectionStressTest : public ::testing::Test {
       const graph::DiskGroundSet disk(graph_path_, dataset_.utilities,
                                       tiny_cache());
       core::DistributedGreedyConfig config;
-      config.objective = core::ObjectiveParams::from_alpha(0.9);
       config.num_machines = 8;
       config.num_rounds = 3;
       config.seed = seed;
       config.pool = &pool;
       config.prefetch_depth = 2;
       config.checkpoint_file = (dir_ / "stress.ckpt").string();
-      const auto result = core::distributed_greedy(disk, 60, config);
+      const auto result = core::distributed_greedy(
+          core::PairwiseKernel(disk, core::ObjectiveParams::from_alpha(0.9)), 60, config);
 
       // Success: the selection must be fully valid and the cache budget
       // must have held even while faults were firing.
@@ -137,22 +137,22 @@ TEST_F(FaultInjectionStressTest, TransientOnlyFaultsStillMatchFaultFreeRun) {
     const graph::DiskGroundSet disk(graph_path_, dataset_.utilities,
                                     tiny_cache());
     core::DistributedGreedyConfig config;
-    config.objective = core::ObjectiveParams::from_alpha(0.9);
     config.num_machines = 8;
     config.num_rounds = 3;
     config.seed = 992;
-    return core::distributed_greedy(disk, 60, config);
+    return core::distributed_greedy(
+        core::PairwiseKernel(disk, core::ObjectiveParams::from_alpha(0.9)), 60, config);
   }();
 
   failpoint::arm_from_spec("disk.pread=prob(0.1,300);disk.prefetch=prob(0.5,301)");
   const graph::DiskGroundSet faulty(graph_path_, dataset_.utilities,
                                     tiny_cache());
   core::DistributedGreedyConfig config;
-  config.objective = core::ObjectiveParams::from_alpha(0.9);
   config.num_machines = 8;
   config.num_rounds = 3;
   config.seed = 992;
-  const auto under_faults = core::distributed_greedy(faulty, 60, config);
+  const auto under_faults = core::distributed_greedy(
+      core::PairwiseKernel(faulty, core::ObjectiveParams::from_alpha(0.9)), 60, config);
   failpoint::disarm_all();
 
   EXPECT_EQ(under_faults.selected, reference.selected);

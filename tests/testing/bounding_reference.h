@@ -65,14 +65,15 @@ inline std::optional<std::string> bounding_difference(const core::BoundingResult
 
 /// One full-pass Grow (Alg. 3); returns #points selected.
 inline std::size_t reference_grow_step(const graph::GroundSet& ground_set,
+                                       core::ObjectiveParams params,
                                        core::SelectionState& state,
                                        std::size_t& k_remaining,
                                        const core::BoundingConfig& config,
                                        std::uint64_t round_salt) {
   if (k_remaining == 0) return 0;
   std::vector<double> u_min, u_max;
-  core::detail::compute_utility_bounds(ground_set, state, config, round_salt, u_min,
-                                       u_max);
+  core::detail::compute_utility_bounds(ground_set, params, state, config, round_salt,
+                                       u_min, u_max);
   const double threshold =
       kth_largest(unassigned_bound_values(state, u_max), k_remaining);
 
@@ -91,8 +92,10 @@ inline std::size_t reference_grow_step(const graph::GroundSet& ground_set,
   return candidates.size();
 }
 
-/// Alg. 5 with full-pass Grow: the same control flow as core::bound.
+/// Alg. 5 with full-pass Grow: the same control flow as core::bound under a
+/// PairwiseKernel(ground_set, params).
 inline core::BoundingResult reference_bound(const graph::GroundSet& ground_set,
+                                            core::ObjectiveParams params,
                                             std::size_t k,
                                             const core::BoundingConfig& config,
                                             const BoundingPassObserver& observe = {}) {
@@ -124,10 +127,10 @@ inline core::BoundingResult reference_bound(const graph::GroundSet& ground_set,
     const core::SelectionState before = observe ? result.state : core::SelectionState();
     const std::size_t k_before = result.k_remaining;
     const std::size_t changed =
-        grow ? reference_grow_step(ground_set, result.state, result.k_remaining, config,
-                                   ++salt)
-             : core::shrink_step(ground_set, result.state, result.k_remaining, config,
-                                 ++salt);
+        grow ? reference_grow_step(ground_set, params, result.state,
+                                   result.k_remaining, config, ++salt)
+             : core::shrink_step(ground_set, params, result.state, result.k_remaining,
+                                 config, ++salt);
     if (observe) observe(before, k_before, grow, result.state);
     return changed;
   };
