@@ -128,7 +128,6 @@
 #include "data/perturbed.h"
 #include "dataflow/transforms.h"
 #include "graph/disk_ground_set.h"
-#include "graph/hnsw.h"
 #include "graph/knn.h"
 #include "graph/quantized_embedding.h"
 
@@ -289,23 +288,6 @@ void BM_IvfKnn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_IvfKnn)->Arg(4000)->Arg(16000);
-
-void BM_HnswKnn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  data::ClusteredEmbeddingConfig config;
-  config.num_points = n;
-  config.num_classes = 32;
-  config.dim = 32;
-  const auto embeddings = data::generate_clustered_embeddings(config);
-  for (auto _ : state) {
-    graph::HnswIndex index(embeddings.points, graph::HnswConfig{});
-    auto lists = index.knn_graph(10);
-    benchmark::DoNotOptimize(lists.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_HnswKnn)->Arg(4000)->Arg(16000);
 
 void BM_DataflowShuffle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -276,6 +276,9 @@ int main(int argc, char** argv) {
   json.key("batch_deadline_ms").value(spec.batch_deadline_ms);
   json.key("seed").value(seed);
   json.end_object();
+  write_manifest(json, "requests_per_rate=" + std::to_string(requests) +
+                           " points=" + std::to_string(points) +
+                           " rates=" + args.get_string("rates", "40,80,160"));
   json.key("sweeps").begin_array();
 
   for (std::size_t r = 0; r < rates.size(); ++r) {

@@ -5,8 +5,10 @@
 //    reference in tests;
 //  - an IVF (inverted-file) approximate index — k-means coarse quantizer with
 //    multi-probe search — standing in for the ScaNN similarity search the
-//    paper uses (Guo et al., 2020). Recall against brute force is measured in
-//    tests; for clustered embeddings with >= 8 probes it is ~1.0.
+//    paper uses (Guo et al., 2020). num_probes trades recall against time:
+//    recall is well below 1.0 at the default 8 probes, and probing every
+//    cluster makes the search exhaustive. The README's "Performance notes:
+//    kNN build" has the measured recall/time frontier.
 //
 // Both return directed kNN lists with cosine-similarity weights (embeddings
 // must be row-normalized); callers symmetrize via SimilarityGraph.
@@ -53,13 +55,16 @@ class IvfIndex {
 
   /// Top-k most-similar points for `query` among the probed clusters,
   /// excluding `exclude` (pass a valid id to drop self-matches, or -1).
+  /// Float32 index only: a quantized index keeps no float32 tiles, and this
+  /// throws std::logic_error on it. Throws std::invalid_argument when `query`
+  /// is not embeddings.dim() long.
   std::vector<Edge> search(std::span<const float> query, std::size_t k,
                            NodeId exclude) const;
 
   /// Builds the full directed kNN graph for all indexed points.
   std::vector<NeighborList> knn_graph(ThreadPool* pool = nullptr) const;
 
-  std::size_t num_clusters() const noexcept { return centroids_.rows(); }
+  std::size_t num_clusters() const noexcept { return cluster_offsets_.size() - 1; }
 
  private:
   /// knn_graph's per-row search: quantized candidate ranking + exact rescore
@@ -68,8 +73,16 @@ class IvfIndex {
 
   const EmbeddingMatrix& embeddings_;
   KnnConfig config_;
-  EmbeddingMatrix centroids_;
-  std::vector<std::vector<NodeId>> cluster_members_;
+  // Cluster-major member slots: cluster c owns slots
+  // [cluster_offsets_[c], cluster_offsets_[c + 1]), its members in ascending
+  // id order, padded with -1 ids to a whole number of 8-row tiles.
+  std::vector<NodeId> member_ids_;
+  std::vector<std::size_t> cluster_offsets_;
+  // search()'s copies of the member rows (slot order) and of the final
+  // centroids, in 8-row tiles stored dimension-major: tile[d * 8 + lane].
+  // Empty on a quantized index.
+  std::vector<float> member_tiles_;
+  std::vector<float> centroid_tiles_;
   QuantizedMatrix quantized_points_;     // empty on the float32 path
   QuantizedMatrix quantized_centroids_;  // final centroids, same precision
 };

@@ -1,7 +1,7 @@
 // Quantized embedding storage + vectorized distance kernels for the graph
 // build (the second prong of the SIMD/data-layout pass).
 //
-// The kNN/HNSW/PCA build paths spend nearly all their time in row-vs-row
+// The kNN and PCA build paths spend nearly all their time in row-vs-row
 // dot products over float32 embeddings. This module stores rows in one of
 // two compact formats and scores them with backend-dispatched kernels:
 //
@@ -23,7 +23,7 @@
 //
 // Quantization changes WHICH neighbors a build ranks highest, never the
 // final edge weights the selection consumes: the graph-build callers rescore
-// the chosen edges with the exact float32 dot (see knn.cpp / hnsw.cpp), so
+// the chosen edges with the exact float32 dot (see knn.cpp), so
 // quantization error is bounded-recall, not bounded-weight. The error of the
 // quantized scores themselves is bounded per coordinate by scale/2 (int8,
 // ~0.4% of the row's max coordinate) and by half-precision rounding

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/embedding_matrix.h"
@@ -144,6 +146,16 @@ TEST(IvfIndex, FullProbeEqualsBruteForce) {
       EXPECT_EQ(exact[i].edges[e].neighbor, approx[i].edges[e].neighbor);
     }
   }
+}
+
+TEST(IvfIndex, SearchRejectsQueryOfWrongDimension) {
+  auto m = random_normalized(100, 8, 9);
+  IvfIndex index(m, KnnConfig{});
+  const std::vector<float> short_query(7, 0.1f);
+  const std::vector<float> long_query(9, 0.1f);
+  EXPECT_THROW(index.search(short_query, 5, -1), std::invalid_argument);
+  EXPECT_THROW(index.search(long_query, 5, -1), std::invalid_argument);
+  EXPECT_EQ(index.search(m.row(0), 5, 0).size(), 5u);
 }
 
 TEST(IvfIndex, DefaultClusterCountIsSqrtN) {

@@ -9,11 +9,11 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "common/simd.h"
 #include "graph/embedding_matrix.h"
-#include "graph/hnsw.h"
 #include "graph/knn.h"
 #include "graph/pca.h"
 
@@ -224,59 +224,9 @@ TEST(QuantizedKnn, IvfHighRecallOnClusteredData) {
     const auto approx = index.knn_graph();
     EXPECT_GT(recall_against(exact, approx), 0.9) << precision_name(precision);
     expect_exact_weights(approx, m);
-  }
-}
-
-TEST(QuantizedHnsw, HighRecallAndExactWeights) {
-  const auto m = clustered(800, 16, 10, 23);
-  KnnConfig knn_config;
-  knn_config.num_neighbors = 10;
-  const auto exact = brute_force_knn(m, knn_config);
-
-  // HNSW is itself approximate; the quantized bound is relative to the
-  // float32 build of the same config (quantization loss, not HNSW loss),
-  // plus an absolute floor.
-  HnswConfig float_config;
-  const HnswIndex float_index(m, float_config);
-  const double float_recall =
-      recall_against(exact, float_index.knn_graph(10));
-
-  for (const EmbeddingPrecision precision :
-       {EmbeddingPrecision::kInt8, EmbeddingPrecision::kFloat16}) {
-    HnswConfig config;
-    config.precision = precision;
-    const HnswIndex index(m, config);
-    const auto approx = index.knn_graph(10);
-    const double recall = recall_against(exact, approx);
-    EXPECT_GT(recall, float_recall - 0.08) << precision_name(precision);
-    EXPECT_GT(recall, 0.7) << precision_name(precision);
-    // HNSW's knn_graph reports raw (unclamped) exact dots.
-    for (std::size_t i = 0; i < approx.size(); ++i) {
-      for (const Edge& e : approx[i].edges) {
-        EXPECT_EQ(e.weight,
-                  dot(m.row(i), m.row(static_cast<std::size_t>(e.neighbor))));
-      }
-    }
-  }
-}
-
-TEST(QuantizedHnsw, Float32PathUnchanged) {
-  // The default config must take the exact path: identical lists to an
-  // explicitly-float32 build (construction and search untouched).
-  const auto m = random_normalized(200, 12, 24);
-  HnswConfig config;
-  const HnswIndex a(m, config);
-  config.precision = EmbeddingPrecision::kFloat32;
-  const HnswIndex b(m, config);
-  const auto la = a.knn_graph(5);
-  const auto lb = b.knn_graph(5);
-  ASSERT_EQ(la.size(), lb.size());
-  for (std::size_t i = 0; i < la.size(); ++i) {
-    ASSERT_EQ(la[i].edges.size(), lb[i].edges.size());
-    for (std::size_t e = 0; e < la[i].edges.size(); ++e) {
-      EXPECT_EQ(la[i].edges[e].neighbor, lb[i].edges[e].neighbor);
-      EXPECT_EQ(la[i].edges[e].weight, lb[i].edges[e].weight);
-    }
+    // A quantized index holds no float32 tiles, so it answers no outside query.
+    EXPECT_THROW(index.search(m.row(0), 5, 0), std::logic_error)
+        << precision_name(precision);
   }
 }
 
