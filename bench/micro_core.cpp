@@ -57,17 +57,12 @@
 //   --simd-matrix      also run the vectorized-backend harness: each kernel's
 //                      incremental solve phase under forced scalar and under
 //                      the native backend (selections and objectives must be
-//                      bit-identical, exit 2 otherwise), plus the quantized
-//                      kNN build vs float32; written to BENCH_simd_kernels.json
+//                      bit-identical, exit 2 otherwise); written to
+//                      BENCH_simd_kernels.json
 //   --simd-nodes=N     simd harness ground set size (default 12000)
 //   --simd-degree=N    simd harness directed degree (default 250)
 //   --simd-iters=N     simd harness repetitions, best-of (default 4)
-//   --simd-points=N    simd harness embedding count for graph build (3000)
-//   --simd-dim=N       simd harness embedding width (default 256)
 //   --simd-json=PATH   output path (default BENCH_simd_kernels.json)
-//   --min-quant-build-speedup=X
-//                      exit 3 unless the best quantized build speedup over
-//                      float32 >= X (skipped when scalar is active)
 //   --disk-hotpath     also run the out-of-core concurrency harness
 //   --disk-nodes=N     disk harness ground set size (default 400000)
 //   --disk-threads=N   disk harness worker threads (default 8)
@@ -129,7 +124,6 @@
 #include "dataflow/transforms.h"
 #include "graph/disk_ground_set.h"
 #include "graph/knn.h"
-#include "graph/quantized_embedding.h"
 
 namespace {
 
@@ -1309,8 +1303,7 @@ int run_constraint_matrix(const ConstraintMatrixConfig& config) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD matrix: vectorized kernel backends vs forced scalar, and the
-// quantized embedding path vs the exact float32 graph build.
+// SIMD matrix: vectorized kernel backends vs forced scalar.
 // ---------------------------------------------------------------------------
 
 struct SimdMatrixConfig {
@@ -1325,18 +1318,8 @@ struct SimdMatrixConfig {
   std::size_t degree = 250;
   double k_fraction = 0.01;
   std::size_t iterations = 4;
-  std::size_t graph_points = 3000;
-  /// Embedding width for the quantized-build comparison. Sized so the
-  /// distance kernel dominates the kNN build (paper-scale embeddings are
-  /// 256-1024 wide); at narrow widths neighbor-heap bookkeeping drowns the
-  /// dot-product signal on every backend.
-  std::size_t graph_dim = 256;
-  std::size_t graph_neighbors = 10;
   std::uint64_t seed = 2025;
   std::string json_path = "BENCH_simd_kernels.json";
-  /// Quantized graph-build gate: exit 3 unless the best quantized precision
-  /// builds this much faster than float32. 0 = off; skipped under scalar.
-  double min_graph_speedup = 0.0;
 };
 
 struct SimdKernelRow {
@@ -1360,50 +1343,12 @@ struct SimdKernelRow {
   }
 };
 
-struct SimdGraphRow {
-  std::string precision;
-  double build_ms = 0.0;
-  double recall = 0.0;          // vs the exact float32 build
-  double speedup_vs_float = 0.0;
-};
-
-graph::EmbeddingMatrix simd_matrix_embeddings(const SimdMatrixConfig& config) {
-  graph::EmbeddingMatrix m(config.graph_points, config.graph_dim);
-  Rng rng(config.seed ^ 0x51D5ULL);
-  for (std::size_t i = 0; i < config.graph_points; ++i) {
-    for (float& v : m.row(i)) v = static_cast<float>(rng.normal());
-  }
-  m.normalize_rows();
-  return m;
-}
-
-double knn_recall(const std::vector<graph::NeighborList>& exact,
-                  const std::vector<graph::NeighborList>& approx) {
-  std::size_t hits = 0;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    total += exact[i].edges.size();
-    for (const graph::Edge& truth : exact[i].edges) {
-      for (const graph::Edge& candidate : approx[i].edges) {
-        if (candidate.neighbor == truth.neighbor) {
-          ++hits;
-          break;
-        }
-      }
-    }
-  }
-  return total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 1.0;
-}
-
 int run_simd_matrix(SimdMatrixConfig config) {
   config.nodes = std::max<std::size_t>(config.nodes, 16);
   config.iterations = std::max<std::size_t>(config.iterations, 1);
-  config.graph_points = std::max<std::size_t>(config.graph_points, 64);
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(config.k_fraction *
                                   static_cast<double>(config.nodes)));
-  const bool native_is_vector =
-      simd::active_backend() != simd::Backend::kScalar;
   std::printf("\n=== simd matrix: %s backend vs forced scalar at %zu nodes,"
               " k=%zu ===\n",
               simd::active_backend_name(), config.nodes, k);
@@ -1513,55 +1458,11 @@ int run_simd_matrix(SimdMatrixConfig config) {
     rows.push_back(std::move(row));
   }
 
-  // Quantized embedding path: kNN graph build at each precision vs the exact
-  // float32 build. Build time is the metric; recall is the quality bound.
-  std::printf("--- quantized graph build: %zu points, dim %zu, k=%zu ---\n",
-              config.graph_points, config.graph_dim, config.graph_neighbors);
-  const graph::EmbeddingMatrix embeddings = simd_matrix_embeddings(config);
-  graph::KnnConfig knn_config;
-  knn_config.num_neighbors = config.graph_neighbors;
-
-  double float_ms = 0.0;
-  std::vector<graph::NeighborList> exact;
-  for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-    Timer timer;
-    auto lists = graph::brute_force_knn(embeddings, knn_config);
-    const double ms = timer.elapsed_seconds() * 1e3;
-    if (iter == 0 || ms < float_ms) float_ms = ms;
-    if (iter == 0) exact = std::move(lists);
-  }
-  std::printf("%-10s build %.1f ms (exact reference)\n", "float32", float_ms);
-
-  std::vector<SimdGraphRow> graph_rows;
-  for (const graph::EmbeddingPrecision precision :
-       {graph::EmbeddingPrecision::kInt8, graph::EmbeddingPrecision::kFloat16}) {
-    SimdGraphRow row;
-    row.precision = graph::precision_name(precision);
-    graph::KnnConfig quant_config = knn_config;
-    quant_config.precision = precision;
-    std::vector<graph::NeighborList> lists;
-    for (std::size_t iter = 0; iter < config.iterations; ++iter) {
-      Timer timer;
-      auto built = graph::brute_force_knn(embeddings, quant_config);
-      const double ms = timer.elapsed_seconds() * 1e3;
-      if (iter == 0 || ms < row.build_ms) row.build_ms = ms;
-      if (iter == 0) lists = std::move(built);
-    }
-    row.recall = knn_recall(exact, lists);
-    row.speedup_vs_float = row.build_ms > 0.0 ? float_ms / row.build_ms : 0.0;
-    std::printf("%-10s build %.1f ms = %.2fx vs float32, recall %.3f\n",
-                row.precision.c_str(), row.build_ms, row.speedup_vs_float,
-                row.recall);
-    graph_rows.push_back(std::move(row));
-  }
-
   JsonWriter json;
   json.begin_object();
   json.key("bench").value("simd_kernels");
   bench::write_manifest(json, "nodes=" + std::to_string(config.nodes) +
-                                  " degree=" + std::to_string(config.degree) +
-                                  " graph_points=" +
-                                  std::to_string(config.graph_points));
+                                  " degree=" + std::to_string(config.degree));
   json.key("nodes").value(config.nodes);
   json.key("degree").value(config.degree);
   json.key("k").value(k);
@@ -1580,50 +1481,9 @@ int run_simd_matrix(SimdMatrixConfig config) {
     json.end_object();
   }
   json.end_array();
-  json.key("graph_build").begin_object();
-  json.key("points").value(config.graph_points);
-  json.key("dim").value(config.graph_dim);
-  json.key("neighbors").value(config.graph_neighbors);
-  json.key("float32_ms").value(float_ms);
-  json.key("quantized").begin_array();
-  for (const SimdGraphRow& row : graph_rows) {
-    json.begin_object();
-    json.key("precision").value(row.precision);
-    json.key("build_ms").value(row.build_ms);
-    json.key("speedup_vs_float").value(row.speedup_vs_float);
-    json.key("recall").value(row.recall);
-    json.end_object();
-  }
-  json.end_array();
   json.end_object();
-  json.key("min_graph_speedup").value(config.min_graph_speedup);
-  json.end_object();
-  if (const int write_status = bench::write_json(config.json_path, json);
-      write_status != 0) {
-    return write_status;
-  }
-
-  // The build-speedup gate only makes sense when a vector backend is active;
-  // under SUBSEL_FORCE_SCALAR (the CI scalar leg) both sides run the same
-  // code.
-  if (config.min_graph_speedup > 0.0) {
-    if (!native_is_vector) {
-      std::printf("simd matrix: scalar backend active — build gate skipped\n");
-      return status;
-    }
-    double best = 0.0;
-    for (const SimdGraphRow& row : graph_rows) {
-      best = std::max(best, row.speedup_vs_float);
-    }
-    if (best < config.min_graph_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: quantized graph build speedup %.2fx below"
-                   " --min-quant-build-speedup=%.2f\n",
-                   best, config.min_graph_speedup);
-      status = 3;
-    }
-  }
-  return status;
+  const int write_status = bench::write_json(config.json_path, json);
+  return write_status != 0 ? write_status : status;
 }
 
 }  // namespace
@@ -1656,7 +1516,6 @@ int main(int argc, char** argv) {
       hot.iterations = 2;
       disk.nodes = 120'000;
       disk.iterations = 2;
-      simd_matrix.graph_points = 1500;
       simd_matrix.iterations = 2;
       run_gbench = false;
     } else if (arg == "--hot-only") {
@@ -1681,19 +1540,11 @@ int main(int argc, char** argv) {
       simd_matrix.nodes = static_cast<std::size_t>(std::atoll(value().c_str()));
     } else if (arg.rfind("--simd-degree=", 0) == 0) {
       simd_matrix.degree = static_cast<std::size_t>(std::atoll(value().c_str()));
-    } else if (arg.rfind("--simd-points=", 0) == 0) {
-      simd_matrix.graph_points =
-          static_cast<std::size_t>(std::atoll(value().c_str()));
-    } else if (arg.rfind("--simd-dim=", 0) == 0) {
-      simd_matrix.graph_dim =
-          static_cast<std::size_t>(std::atoll(value().c_str()));
     } else if (arg.rfind("--simd-iters=", 0) == 0) {
       simd_matrix.iterations =
           static_cast<std::size_t>(std::atoll(value().c_str()));
     } else if (arg.rfind("--simd-json=", 0) == 0) {
       simd_matrix.json_path = value();
-    } else if (arg.rfind("--min-quant-build-speedup=", 0) == 0) {
-      simd_matrix.min_graph_speedup = std::atof(value().c_str());
     } else if (arg == "--disk-hotpath") {
       run_disk = true;
     } else if (arg.rfind("--disk-nodes=", 0) == 0) {

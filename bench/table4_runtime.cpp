@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: runtime grows with rounds. In the paper's regime"
               " (cluster rounds cost hours) bounding first also makes the"
               " 8-round run cheaper; on this single-server simulator the"
-              " greedy is so fast that bounding's passes dominate instead —"
-              " see EXPERIMENTS.md, Table 4.\n");
+              " greedy is so fast that bounding's passes dominate instead.\n");
   return 0;
 }

@@ -1,10 +1,9 @@
 // Runtime CPU-feature detection and backend selection for the vectorized
 // kernel inner loops.
 //
-// Every vectorized code path in the repo (kernel gain primitives in
-// core/kernel_simd.h, quantized distance kernels in
-// graph/quantized_embedding.h) dispatches through ONE process-wide backend
-// choice made here:
+// Every vectorized code path in the repo (the kernel gain primitives in
+// core/kernel_simd.h) dispatches through ONE process-wide backend choice
+// made here:
 //
 //  - x86-64: `avx2` when the CPU reports AVX2 (cpuid via
 //    __builtin_cpu_supports), else `scalar`. The binary itself stays

@@ -422,7 +422,11 @@ DiskGroundSet::BlockData DiskGroundSet::block(std::size_t index,
   {
     std::lock_guard lock(shard.mutex);
     if (const auto it = shard.blocks.find(index); it != shard.blocks.end()) {
-      if (demand) ++shard.hits;
+      if (demand) {
+        ++shard.hits;
+      } else {
+        ++shard.prefetch_issued;
+      }
       shard.lru.erase(it->second.lru_position);
       shard.lru.push_front(index);
       it->second.lru_position = shard.lru.begin();
@@ -438,8 +442,12 @@ DiskGroundSet::BlockData DiskGroundSet::block(std::size_t index,
   BlockData winner = insert_block(shard, index, std::move(data));
   // prefetch_loaded counts blocks ACTUALLY paged in by the prefetcher: only
   // the loader whose payload won the insert race counts, so the counter can
-  // never exceed the blocks resident-ever.
-  if (!demand && winner.get() == loaded) ++shard.prefetch_loaded;
+  // never exceed the blocks resident-ever. The block counts as issued in the
+  // same critical section, so no snapshot sees it loaded but not issued.
+  if (!demand) {
+    ++shard.prefetch_issued;
+    if (winner.get() == loaded) ++shard.prefetch_loaded;
+  }
   return winner;
 }
 
@@ -657,7 +665,9 @@ void DiskGroundSet::prefetch(std::span<const NodeId> nodes,
     }
     blocks.resize(kept);
   }
-  prefetch_issued_.fetch_add(blocks.size(), std::memory_order_relaxed);
+  // Each kept block counts as issued when block() reaches it, or as
+  // abandoned (prefetch_degraded_, which stats() adds to the issued count)
+  // when the hint gives up before it.
 
   if (pool == nullptr) {
     // Best-effort like the pool path: a hint never throws — the demand read
@@ -728,6 +738,7 @@ DiskCacheStats DiskGroundSet::stats() const noexcept {
     std::lock_guard lock(shard.mutex);
     stats.hits += shard.hits;
     stats.misses += shard.misses;
+    stats.prefetch_issued += shard.prefetch_issued;
     stats.prefetch_loaded += shard.prefetch_loaded;
   }
   stats.hits += pinned_hits_.load(std::memory_order_relaxed);
@@ -743,9 +754,10 @@ DiskCacheStats DiskGroundSet::stats() const noexcept {
       }
     }
   }
-  stats.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
   stats.read_retries = read_retries_.load(std::memory_order_relaxed);
   stats.prefetch_degraded = prefetch_degraded_.load(std::memory_order_relaxed);
+  // Abandoned hint blocks were issued too; they never reached a shard.
+  stats.prefetch_issued += stats.prefetch_degraded;
   stats.resident_blocks = resident_blocks_.load(std::memory_order_relaxed);
   stats.resident_blocks_high_water =
       resident_high_water_.load(std::memory_order_relaxed);

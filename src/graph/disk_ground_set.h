@@ -101,7 +101,11 @@ class DiskFormatError : public std::runtime_error {
 };
 
 /// Monotonic cache counters, snapshot-consistent enough for reporting (the
-/// counters are per-shard and summed without a global lock).
+/// counters are per-shard and summed without a global lock). A prefetched
+/// block counts as issued when the hint reaches it (in the shard critical
+/// section that finds it resident or pages it in) or when the hint abandons
+/// it, so the difference of any two snapshots has prefetch_loaded <=
+/// prefetch_issued, also while hint tasks are in flight.
 struct DiskCacheStats {
   std::uint64_t hits = 0;             // demand reads served from cache
   std::uint64_t misses = 0;           // demand reads that paged a block in
@@ -194,6 +198,7 @@ class DiskGroundSet final : public GroundSet {
     std::size_t capacity = 1;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    std::uint64_t prefetch_issued = 0;  // hint blocks reached (not abandoned)
     std::uint64_t prefetch_loaded = 0;
   };
 
@@ -206,7 +211,8 @@ class DiskGroundSet final : public GroundSet {
   BlockData load_block(std::size_t index) const;
 
   /// Returns the cached payload of block `index`, paging it in on a miss.
-  /// `demand` selects which counter a load bumps (miss vs prefetch_loaded).
+  /// `demand` selects the counters: hit/miss, or prefetch_issued plus
+  /// prefetch_loaded when this call paged the block in.
   BlockData block(std::size_t index, bool demand) const;
 
   /// Inserts `data` for `index` unless a racing loader won; evicts the
@@ -240,7 +246,6 @@ class DiskGroundSet final : public GroundSet {
   mutable std::vector<Shard> shards_;
   mutable std::atomic<std::size_t> resident_blocks_{0};
   mutable std::atomic<std::size_t> resident_high_water_{0};
-  mutable std::atomic<std::uint64_t> prefetch_issued_{0};
   mutable std::atomic<std::uint64_t> read_retries_{0};
   mutable std::atomic<std::uint64_t> prefetch_degraded_{0};
   /// Hits served from threads' pinned blocks, flushed on pin transitions;

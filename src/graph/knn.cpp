@@ -56,27 +56,6 @@ ThreadPool& pool_or_global(ThreadPool* pool) {
 /// graphs only keep nearest neighbors, whose cosine is positive in practice.
 float clamp_similarity(float s) { return s > 0.0f ? s : 0.0f; }
 
-/// Same total order TopKCollector sorts by: weight descending, id ascending.
-bool better_edge(const Edge& a, const Edge& b) {
-  if (a.weight != b.weight) return a.weight > b.weight;
-  return a.neighbor < b.neighbor;
-}
-
-/// The exact-rescore epilogue of every quantized search: replace each kept
-/// edge's quantized score with the exact float32 dot against the query row,
-/// clamp, and restore the (weight desc, id asc) order. After this the edge
-/// weights are indistinguishable from an exact build that happened to rank
-/// the same neighbors.
-void rescore_exact(std::vector<Edge>& edges, const EmbeddingMatrix& embeddings,
-                   std::size_t query_row) {
-  const auto query = embeddings.row(query_row);
-  for (Edge& e : edges) {
-    e.weight = clamp_similarity(
-        dot(query, embeddings.row(static_cast<std::size_t>(e.neighbor))));
-  }
-  std::sort(edges.begin(), edges.end(), better_edge);
-}
-
 // ---------------------------------------------------------------------------
 // The float32 scan over tiles. Rows are copied into tiles of kTileRows rows
 // stored dimension-major (tile[d * kTileRows + lane]), and one call scores a
@@ -157,22 +136,6 @@ std::vector<NeighborList> brute_force_knn(const EmbeddingMatrix& embeddings,
                                           const KnnConfig& config, ThreadPool* pool) {
   const std::size_t n = embeddings.rows();
   std::vector<NeighborList> lists(n);
-  if (config.precision != EmbeddingPrecision::kFloat32) {
-    // Quantized scan: rank all candidates with the compact vectorized
-    // kernels, then rescore the k winners exactly.
-    const QuantizedMatrix quantized(embeddings, config.precision);
-    pool_or_global(pool).parallel_for(n, [&](std::size_t i) {
-      TopKCollector collector(config.num_neighbors);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        collector.offer(static_cast<NodeId>(j), quantized.similarity(i, j));
-      }
-      auto edges = collector.take_sorted();
-      rescore_exact(edges, embeddings, i);
-      lists[i].edges = std::move(edges);
-    });
-    return lists;
-  }
   pool_or_global(pool).parallel_for(n, [&](std::size_t i) {
     TopKCollector collector(config.num_neighbors);
     const auto query = embeddings.row(i);
@@ -211,43 +174,23 @@ IvfIndex::IvfIndex(const EmbeddingMatrix& embeddings, const KnnConfig& config,
     std::copy(src.begin(), src.end(), centroids.row(c).begin());
   }
 
-  const bool quantized = config_.precision != EmbeddingPrecision::kFloat32;
-  if (quantized) {
-    quantized_points_ = QuantizedMatrix(embeddings, config_.precision);
-  }
-
   std::vector<std::uint32_t> assignment(n, 0);
   ThreadPool& workers = pool_or_global(pool);
   for (std::size_t iter = 0; iter < config_.kmeans_iterations; ++iter) {
     // Assign step (maximize cosine similarity to centroid; the first of equal
-    // maxima in centroid order wins). The float32 path scores each point
-    // against this iteration's centroids in tiles. On the quantized path the
-    // centroids are re-quantized each iteration (they moved in the float
-    // update step) and the n·num_clusters similarity scans run through the
-    // compact kernels; the update step itself stays float32.
-    QuantizedMatrix iter_centroids;
-    std::vector<float> iter_tiles;
-    if (quantized) {
-      iter_centroids = QuantizedMatrix(centroids, config_.precision);
-    } else {
-      iter_tiles = tile_rows(centroids);
-    }
+    // maxima in centroid order wins): each point is scored against this
+    // iteration's centroids in tiles.
+    const std::vector<float> iter_tiles = tile_rows(centroids);
     workers.parallel_for(n, [&](std::size_t i) {
       float best_sim = -2.0f;
       std::uint32_t best_cluster = 0;
-      const auto consider = [&](std::size_t c, float sim) {
-        if (sim > best_sim) {
-          best_sim = sim;
-          best_cluster = static_cast<std::uint32_t>(c);
-        }
-      };
-      if (quantized) {
-        for (std::size_t c = 0; c < num_clusters; ++c) {
-          consider(c, quantized_points_.similarity_to(i, iter_centroids, c));
-        }
-      } else {
-        scan_tiles(embeddings.row(i), iter_tiles.data(), num_clusters, consider);
-      }
+      scan_tiles(embeddings.row(i), iter_tiles.data(), num_clusters,
+                 [&](std::size_t c, float sim) {
+                   if (sim > best_sim) {
+                     best_sim = sim;
+                     best_cluster = static_cast<std::uint32_t>(c);
+                   }
+                 });
       assignment[i] = best_cluster;
     });
     // Update step.
@@ -281,11 +224,6 @@ IvfIndex::IvfIndex(const EmbeddingMatrix& embeddings, const KnnConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     member_ids_[next[assignment[i]]++] = static_cast<NodeId>(i);
   }
-  if (quantized) {
-    // The quantized build ranks with its compact copies and keeps no tiles.
-    quantized_centroids_ = QuantizedMatrix(centroids, config_.precision);
-    return;
-  }
   member_tiles_.assign(member_ids_.size() * embeddings.dim(), 0.0f);
   for (std::size_t slot = 0; slot < member_ids_.size(); ++slot) {
     if (member_ids_[slot] == kPadding) continue;
@@ -297,9 +235,6 @@ IvfIndex::IvfIndex(const EmbeddingMatrix& embeddings, const KnnConfig& config,
 
 std::vector<Edge> IvfIndex::search(std::span<const float> query, std::size_t k,
                                    NodeId exclude) const {
-  if (config_.precision != EmbeddingPrecision::kFloat32) {
-    throw std::logic_error("IvfIndex::search: a quantized index keeps no float32 tiles");
-  }
   if (query.size() != embeddings_.dim()) {
     throw std::invalid_argument(
         "IvfIndex::search: query dimension differs from the index");
@@ -325,38 +260,12 @@ std::vector<Edge> IvfIndex::search(std::span<const float> query, std::size_t k,
   return edges;
 }
 
-std::vector<Edge> IvfIndex::search_row(std::size_t i, std::size_t k) const {
-  if (config_.precision == EmbeddingPrecision::kFloat32) {
-    return search(embeddings_.row(i), k, static_cast<NodeId>(i));
-  }
-  // Quantized build path: both the cluster ranking and the member scans run
-  // through the compact kernels; the kept edges are then rescored exactly.
-  const NodeId exclude = static_cast<NodeId>(i);
-  TopKCollector cluster_rank(config_.num_probes);
-  for (std::size_t c = 0; c < quantized_centroids_.rows(); ++c) {
-    cluster_rank.offer(static_cast<NodeId>(c),
-                       quantized_points_.similarity_to(i, quantized_centroids_, c));
-  }
-  TopKCollector collector(k);
-  for (const Edge& cluster : cluster_rank.take_sorted()) {
-    const auto c = static_cast<std::size_t>(cluster.neighbor);
-    for (std::size_t slot = cluster_offsets_[c]; slot < cluster_offsets_[c + 1]; ++slot) {
-      const NodeId member = member_ids_[slot];
-      if (member == kPadding || member == exclude) continue;
-      collector.offer(member,
-                      quantized_points_.similarity(i, static_cast<std::size_t>(member)));
-    }
-  }
-  auto edges = collector.take_sorted();
-  rescore_exact(edges, embeddings_, i);
-  return edges;
-}
-
 std::vector<NeighborList> IvfIndex::knn_graph(ThreadPool* pool) const {
   const std::size_t n = embeddings_.rows();
   std::vector<NeighborList> lists(n);
   pool_or_global(pool).parallel_for(n, [&](std::size_t i) {
-    lists[i].edges = search_row(i, config_.num_neighbors);
+    lists[i].edges =
+        search(embeddings_.row(i), config_.num_neighbors, static_cast<NodeId>(i));
   });
   return lists;
 }

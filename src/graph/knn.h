@@ -15,11 +15,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "graph/embedding_matrix.h"
-#include "graph/quantized_embedding.h"
 #include "graph/similarity_graph.h"
 
 namespace subsel::graph {
@@ -31,13 +31,6 @@ struct KnnConfig {
   std::size_t num_probes = 8;        // clusters scanned per query
   std::size_t kmeans_iterations = 8;
   std::uint64_t seed = 1;
-  // Precision of the similarity scans that RANK candidates during the build.
-  // kFloat16/kInt8 store a compact copy of the embeddings and score it with
-  // the vectorized kernels in quantized_embedding.h; the final edges each
-  // query keeps are then rescored with the exact float32 dot, so quantization
-  // can only change which neighbors are found (bounded-recall, tested), never
-  // the weight of an edge that is found. kFloat32 is the exact legacy path.
-  EmbeddingPrecision precision = EmbeddingPrecision::kFloat32;
 };
 
 /// Exact kNN by cosine similarity. Self is excluded. Ties broken by lower id.
@@ -55,9 +48,7 @@ class IvfIndex {
 
   /// Top-k most-similar points for `query` among the probed clusters,
   /// excluding `exclude` (pass a valid id to drop self-matches, or -1).
-  /// Float32 index only: a quantized index keeps no float32 tiles, and this
-  /// throws std::logic_error on it. Throws std::invalid_argument when `query`
-  /// is not embeddings.dim() long.
+  /// Throws std::invalid_argument when `query` is not embeddings.dim() long.
   std::vector<Edge> search(std::span<const float> query, std::size_t k,
                            NodeId exclude) const;
 
@@ -67,10 +58,6 @@ class IvfIndex {
   std::size_t num_clusters() const noexcept { return cluster_offsets_.size() - 1; }
 
  private:
-  /// knn_graph's per-row search: quantized candidate ranking + exact rescore
-  /// when config_.precision != kFloat32, otherwise exactly search().
-  std::vector<Edge> search_row(std::size_t i, std::size_t k) const;
-
   const EmbeddingMatrix& embeddings_;
   KnnConfig config_;
   // Cluster-major member slots: cluster c owns slots
@@ -80,11 +67,8 @@ class IvfIndex {
   std::vector<std::size_t> cluster_offsets_;
   // search()'s copies of the member rows (slot order) and of the final
   // centroids, in 8-row tiles stored dimension-major: tile[d * 8 + lane].
-  // Empty on a quantized index.
   std::vector<float> member_tiles_;
   std::vector<float> centroid_tiles_;
-  QuantizedMatrix quantized_points_;     // empty on the float32 path
-  QuantizedMatrix quantized_centroids_;  // final centroids, same precision
 };
 
 /// Convenience: build a symmetrized similarity graph from embeddings with the

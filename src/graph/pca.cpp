@@ -1,5 +1,6 @@
 #include "graph/pca.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -7,35 +8,9 @@
 namespace subsel::graph {
 namespace {
 
-// The projection is written against a generic row source so the same code
-// serves both the float32 matrix and the quantized store (rows dequantized
-// into a scratch buffer on demand — PCA is serial, so one buffer suffices).
-
-/// Row source over an EmbeddingMatrix: zero-copy spans.
-struct FloatRows {
-  const EmbeddingMatrix* matrix;
-  std::size_t rows() const { return matrix->rows(); }
-  std::size_t dim() const { return matrix->dim(); }
-  std::span<const float> row(std::size_t i) const { return matrix->row(i); }
-};
-
-/// Row source over a QuantizedMatrix: dequantizes into `scratch` per access.
-struct QuantizedRows {
-  const QuantizedMatrix* matrix;
-  mutable std::vector<float> scratch;
-  std::size_t rows() const { return matrix->rows(); }
-  std::size_t dim() const { return matrix->dim(); }
-  std::span<const float> row(std::size_t i) const {
-    scratch.resize(matrix->dim());
-    matrix->dequantize(i, scratch);
-    return scratch;
-  }
-};
-
 /// One power-iteration estimate of the dominant eigenvector of X^T X for the
 /// centered data X, with `remove` (if non-empty) deflated out of each row.
-template <typename RowSource>
-std::vector<double> dominant_component(const RowSource& embeddings,
+std::vector<double> dominant_component(const EmbeddingMatrix& embeddings,
                                        const std::vector<double>& mean,
                                        const std::vector<double>& remove,
                                        std::size_t iterations, Rng& rng) {
@@ -70,9 +45,10 @@ std::vector<double> dominant_component(const RowSource& embeddings,
   return direction;
 }
 
-template <typename RowSource>
-Projection2D project_2d(const RowSource& embeddings, std::size_t iterations,
-                        std::uint64_t seed) {
+}  // namespace
+
+Projection2D pca_project_2d(const EmbeddingMatrix& embeddings, std::size_t iterations,
+                            std::uint64_t seed) {
   const std::size_t n = embeddings.rows();
   const std::size_t dim = embeddings.dim();
   std::vector<double> mean(dim, 0.0);
@@ -107,18 +83,6 @@ Projection2D project_2d(const RowSource& embeddings, std::size_t iterations,
     projection.y[i] = static_cast<float>(sy);
   }
   return projection;
-}
-
-}  // namespace
-
-Projection2D pca_project_2d(const EmbeddingMatrix& embeddings, std::size_t iterations,
-                            std::uint64_t seed) {
-  return project_2d(FloatRows{&embeddings}, iterations, seed);
-}
-
-Projection2D pca_project_2d(const QuantizedMatrix& embeddings,
-                            std::size_t iterations, std::uint64_t seed) {
-  return project_2d(QuantizedRows{&embeddings, {}}, iterations, seed);
 }
 
 }  // namespace subsel::graph

@@ -6,10 +6,10 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "graph/embedding_matrix.h"
-#include "graph/quantized_embedding.h"
 
 namespace subsel::graph {
 
@@ -22,13 +22,6 @@ struct Projection2D {
 /// centered) embedding matrix. `iterations` power-iteration steps per
 /// component; deterministic given `seed`.
 Projection2D pca_project_2d(const EmbeddingMatrix& embeddings,
-                            std::size_t iterations = 30, std::uint64_t seed = 7);
-
-/// Same projection computed from a quantized row store (rows dequantized on
-/// the fly — no float32 copy of the matrix is materialized). The layout
-/// differs from the float32 projection only by the quantization error of the
-/// inputs; the visualization use case is insensitive to it.
-Projection2D pca_project_2d(const QuantizedMatrix& embeddings,
                             std::size_t iterations = 30, std::uint64_t seed = 7);
 
 }  // namespace subsel::graph

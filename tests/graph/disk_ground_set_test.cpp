@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 
 #include "common/serialize.h"
 #include "common/thread_pool.h"
@@ -249,6 +250,38 @@ TEST_F(DiskGroundSetTest, PrefetchIsCappedAtTheCacheBudget) {
   // would evict its own freshly loaded blocks).
   EXPECT_LE(stats.prefetch_issued, config.max_cached_blocks);
   EXPECT_LE(stats.resident_blocks_high_water, config.max_cached_blocks);
+}
+
+TEST_F(DiskGroundSetTest, PrefetchWindowNeverCountsMoreLoadedThanIssued) {
+  // A caller reports cache counters as the difference of two snapshots. A
+  // prefetch queued before the first snapshot but paged in after it must not
+  // show up in the window as loaded without having been issued.
+  DiskGroundSetConfig config;
+  config.block_edges = 256;
+  config.max_cached_blocks = 128;
+  config.num_shards = 8;
+  const DiskGroundSet disk(graph_path_, dataset_.utilities, config);
+  std::vector<NodeId> all(disk.num_points());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<NodeId>(i);
+
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::future<void> blocker =
+      pool.submit([gate = release.get_future()] { gate.wait(); });
+  disk.prefetch(std::span<const NodeId>(all), &pool);  // queued behind blocker
+  const DiskCacheStats before = disk.stats();
+  release.set_value();
+  blocker.wait();
+  disk.drain_prefetch();
+  const DiskCacheStats after = disk.stats();
+
+  const std::uint64_t issued = after.prefetch_issued - before.prefetch_issued;
+  const std::uint64_t loaded = after.prefetch_loaded - before.prefetch_loaded;
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LE(loaded, issued);
+  // Once drained, every kept block was issued and paged in exactly once.
+  EXPECT_EQ(after.prefetch_loaded, after.prefetch_issued);
+  EXPECT_EQ(after.prefetch_degraded, 0u);
 }
 
 TEST_F(DiskGroundSetTest, RejectsNonGraphFile) {

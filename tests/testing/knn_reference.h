@@ -9,7 +9,7 @@
 // the library's. Top-k is a full sort under the library collector's total
 // order (weight descending, id ascending), which does not depend on the order
 // candidates are offered in; weights are clamped at zero after the cut, as
-// the library does. Float32 precision only.
+// the library does.
 #pragma once
 
 #include <algorithm>
