@@ -53,8 +53,9 @@ int main() {
   core::SelectionState state(6);
   std::size_t k_remaining = k;
   std::uint64_t salt = 0;
-  // Umax, which grow_step keeps current; S′ starts empty, so Umax = u.
-  std::vector<double> u_max = utilities;
+  // Umax and the Grow window, which grow_step keeps current across passes;
+  // S′ starts empty, so Umax = u.
+  core::GrowState grow(utilities);
 
   std::printf("\ninitial bounds (k = %zu):\n", k_remaining);
   print_state(state, ground_set, params, config, 0);
@@ -64,7 +65,7 @@ int main() {
         core::shrink_step(ground_set, params, state, k_remaining, config, ++salt);
     std::printf("\nshrink pass %d: discarded %zu point(s)\n", pass, discarded);
     const std::size_t grown =
-        core::grow_step(ground_set, params, state, k_remaining, u_max, config, ++salt);
+        core::grow_step(ground_set, params, state, k_remaining, grow, config, ++salt);
     std::printf("grow pass %d: selected %zu point(s), k remaining %zu\n", pass, grown,
                 k_remaining);
     print_state(state, ground_set, params, config, salt);

@@ -1,6 +1,6 @@
 // Figure 5 / Appendix C: 2-D visualization of the chosen 10 % subset of
 // CIFAR-100 as the number of partitions grows (1 round each). The paper uses
-// t-SNE; we use a deterministic PCA projection (DESIGN.md §2) — the point of
+// t-SNE; we use a deterministic PCA projection — the point of
 // the figure is *where* selections fall: the centralized run spreads them
 // uniformly over the plane, many partitions create local utility clusters
 // because cross-partition edges (diversity information) are lost.

@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/topk.h"
@@ -15,6 +16,12 @@ namespace subsel::core {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A rebuilt Grow window holds the unassigned points whose Umax ranks within
+/// this many times the open budget. Any factor ≥ 1 makes the same decisions;
+/// a larger one rebuilds less often and prunes a longer window every pass.
+constexpr std::size_t kGrowWindowFactor = 2;
 
 ThreadPool& pool_or_global(ThreadPool* pool) {
   return pool != nullptr ? *pool : global_thread_pool();
@@ -185,23 +192,49 @@ void compute_utility_bounds(const GroundSet& ground_set, ObjectiveParams params,
 
 }  // namespace detail
 
+void GrowState::prune(const SelectionState& state) {
+  std::erase_if(window_, [&](NodeId v) {
+    return !state.is_unassigned(v) || !(u_max_[static_cast<std::size_t>(v)] >= floor_);
+  });
+}
+
+double GrowState::kth_largest_u_max(const SelectionState& state, std::size_t k) {
+  prune(state);  // a Shrink pass may have discarded window points since
+  if (window_.size() < k && floor_ > -kInf) {
+    floor_ = kth_largest(unassigned_values(state, u_max_), kGrowWindowFactor * k);
+    window_.clear();
+    for (std::size_t i = 0; i < u_max_.size(); ++i) {
+      const auto v = static_cast<NodeId>(i);
+      if (state.is_unassigned(v) && u_max_[i] >= floor_) window_.push_back(v);
+    }
+  }
+  // The window holds every unassigned point at or above the floor and, unless
+  // that is all of them, at least k: its k-th largest is the global one.
+  std::vector<double> values(window_.size());
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    values[i] = u_max_[static_cast<std::size_t>(window_[i])];
+  }
+  return kth_largest(values, k);
+}
+
 std::size_t grow_step(const GroundSet& ground_set, ObjectiveParams params,
                       SelectionState& state, std::size_t& k_remaining,
-                      std::vector<double>& u_max, const BoundingConfig& config,
+                      GrowState& grow, const BoundingConfig& config,
                       std::uint64_t round_salt) {
   if (k_remaining == 0) return 0;
+  std::vector<double>& u_max = grow.u_max_;
   assert(u_max.size() == state.size());
 
   // Threshold = U^k_max, the k-th largest maximum utility (Alg. 3).
-  const double threshold = kth_largest(unassigned_values(state, u_max), k_remaining);
+  const double threshold = grow.kth_largest_u_max(state, k_remaining);
 
   // Uexp ≤ Umax (see fold_bounds), so only the fewer than k_remaining points
   // whose Umax already clears the threshold can pass Uexp > threshold; those
-  // are the only neighborhoods this pass reads before it selects.
+  // are the only neighborhoods this pass reads before it selects. They all
+  // sit in the window, which is in ascending id order.
   std::vector<NodeId> probes;
-  for (std::size_t i = 0; i < u_max.size(); ++i) {
-    const auto v = static_cast<NodeId>(i);
-    if (state.is_unassigned(v) && u_max[i] > threshold) probes.push_back(v);
+  for (NodeId v : grow.window_) {
+    if (u_max[static_cast<std::size_t>(v)] > threshold) probes.push_back(v);
   }
   // A candidate's unassigned neighbors are kept from this same read: they are
   // the points whose Umax moves if it is selected.
@@ -252,6 +285,7 @@ std::size_t grow_step(const GroundSet& ground_set, ObjectiveParams params,
         u_max[static_cast<std::size_t>(v)] =
             fold_bounds(ground_set, params, state, config, round_salt, v, edges).max;
       });
+  grow.prune(state);  // drops this pass's selections and the Umax it lowered
   return candidates.size();
 }
 
@@ -290,12 +324,13 @@ BoundingResult bound(const ObjectiveKernel& kernel, std::size_t k,
   result.k_remaining = std::min(k, n);
   if (result.k_remaining == 0) return result;
 
-  // Umax of every unassigned point, kept current by grow_step across passes
-  // (shrink's discards never enter it). S′ starts empty, so Umax = u.
-  std::vector<double> u_max(n);
+  // Umax and the Grow window, kept current by grow_step across passes.
+  // S′ starts empty, so Umax = u.
+  std::vector<double> utilities(n);
   for (std::size_t i = 0; i < n; ++i) {
-    u_max[i] = ground_set.utility(static_cast<NodeId>(i));
+    utilities[i] = ground_set.utility(static_cast<NodeId>(i));
   }
+  GrowState grow(std::move(utilities));
 
   std::uint64_t salt = 0;
   std::size_t total_rounds = 0;
@@ -352,7 +387,7 @@ BoundingResult bound(const ObjectiveKernel& kernel, std::size_t k,
       if (out_of_time()) break;
       ++result.grow_rounds;
       const std::size_t changed =
-          grow_step(ground_set, params, result.state, result.k_remaining, u_max,
+          grow_step(ground_set, params, result.state, result.k_remaining, grow,
                     config, ++salt);
       grow_changes += changed;
       if (changed == 0 || result.k_remaining == 0 ||

@@ -20,15 +20,20 @@
 // a quantile of every Uexp. Grow touches only what can change its result:
 // Uexp ≤ Umax, so only the fewer than k_remaining points whose Umax clears
 // U^k_max can be selected, and Umax depends only on S′, so a selection moves
-// it only at the selected points' neighbors. bound() therefore keeps Umax
-// across passes; each Grow pass reads those few candidates' neighborhoods,
-// then refreshes Umax around what it selected. No step needs the subset
-// resident on a single "machine" beyond the one-byte-per-point state vector
-// and the Umax array (see beam/ for the dataflow formulation, which re-joins
-// every neighborhood on every pass).
+// it only at the selected points' neighbors. bound() therefore keeps a
+// GrowState across passes: Umax, plus a window of the unassigned ids whose
+// Umax clears a floor set at twice the open budget. Each Grow pass takes
+// U^k_max and its candidates from the window, reads those few candidates'
+// neighborhoods, then refreshes Umax around what it selected; only the rare
+// window rebuild scans the ground set. No step needs the subset resident on
+// a single "machine" beyond the one-byte-per-point state vector and the Umax
+// array (see beam/ for the dataflow formulation, which re-joins every
+// neighborhood on every pass).
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/run_control.h"
@@ -92,21 +97,67 @@ struct BoundingResult {
 BoundingResult bound(const ObjectiveKernel& kernel, std::size_t k,
                      const BoundingConfig& config);
 
+/// What Grow keeps between passes over one SelectionState: Umax (Def. 4.2)
+/// of every point, and the window, the ascending ids of the unassigned points
+/// whose Umax ≥ floor().
+///
+/// Every grow_step with budget left ends with the window holding exactly
+/// those ids; a Shrink pass may then discard some of them, and the next
+/// grow_step drops those first.
+/// Nothing else can stale it: Umax never rises, bit for bit (a refresh folds
+/// a superset of the old subtractions in the same CSR order, and rounding is
+/// monotone), so no point outside the window can climb above the floor.
+///
+/// When the window holds fewer ids than the open budget, grow_step rebuilds
+/// it with the floor at the unassigned Umax ranked twice the budget, or −∞
+/// when fewer points remain (the window is then every unassigned point and
+/// is never rebuilt again). That scan of the ground set is the only O(n)
+/// step of a Grow pass. Because the window then holds every point at or
+/// above the floor, and at least k_remaining of them, its k_remaining-th
+/// largest Umax is U^k_max.
+class GrowState {
+ public:
+  /// `u_max` is Umax of every point under the state the passes start from:
+  /// u(v) while S′ is empty, else the u_max of compute_utility_bounds. The
+  /// window starts empty, so the first grow_step builds it.
+  explicit GrowState(std::vector<double> u_max) : u_max_(std::move(u_max)) {}
+
+  /// Umax of every unassigned point; entries of assigned points are stale.
+  const std::vector<double>& u_max() const noexcept { return u_max_; }
+  const std::vector<NodeId>& window() const noexcept { return window_; }
+  double floor() const noexcept { return floor_; }
+
+ private:
+  friend std::size_t grow_step(const GroundSet&, ObjectiveParams, SelectionState&,
+                               std::size_t&, GrowState&, const BoundingConfig&,
+                               std::uint64_t);
+
+  /// Drops the ids that left the unassigned set or fell below the floor.
+  void prune(const SelectionState& state);
+  /// U^k_max for budget k over the unassigned points of `state`, read off
+  /// the window after pruning it (and rebuilding it if it ran short).
+  double kth_largest_u_max(const SelectionState& state, std::size_t k);
+
+  std::vector<double> u_max_;
+  std::vector<NodeId> window_;
+  double floor_ = std::numeric_limits<double>::infinity();
+};
+
 // The pass helpers take the pairwise `params` whose pair_scale() = β/α
 // enters Umin/Umax; bound() passes its kernel's.
 
 /// One Grow pass (Alg. 3) on an existing state; returns #points selected.
-/// `u_max` holds Umax (Def. 4.2) of every unassigned point under `state`:
-/// u(v) while S′ is empty, else the u_max of compute_utility_bounds; entries
-/// of assigned points are ignored. The pass takes U^k_max from it, evaluates
-/// Uexp only for the points whose Umax clears that threshold (in ascending
-/// id order), and afterwards recomputes Umax for the unassigned neighbors of
-/// the points it selected, so `u_max` is current for the next pass. It reads
-/// fewer than k_remaining neighborhoods to decide plus one per such
-/// neighbor; the selections equal a full pass's bit for bit.
+/// `grow` carries Umax and the window from the previous passes over the same
+/// `state` (see GrowState). The pass takes U^k_max from the window, evaluates
+/// Uexp only for the window's points whose Umax clears that threshold (in
+/// ascending id order), and afterwards recomputes Umax for the unassigned
+/// neighbors of the points it selected, so `grow` is current for the next
+/// pass. It reads fewer than k_remaining neighborhoods to decide plus one
+/// per such neighbor, and touches O(window) other entries unless it has to
+/// rebuild the window; the selections equal a full pass's bit for bit.
 std::size_t grow_step(const GroundSet& ground_set, ObjectiveParams params,
                       SelectionState& state, std::size_t& k_remaining,
-                      std::vector<double>& u_max, const BoundingConfig& config,
+                      GrowState& grow, const BoundingConfig& config,
                       std::uint64_t round_salt);
 
 /// One Shrink pass (Alg. 4); returns #points discarded.

@@ -6,7 +6,7 @@
 // from the config and cached on disk (embeddings + graph are the expensive
 // parts) so the many bench binaries share one build.
 //
-// Paper -> proxy mapping (see DESIGN.md §2):
+// Paper -> proxy mapping:
 //   CIFAR-100: 50k points, 64-d, 100 classes  -> cifar_proxy(scale)
 //   ImageNet : 1.2M points, 2048-d, 1000 cls  -> imagenet_proxy(scale),
 //              default 120k x 128-d so the full benchmark grid runs in

@@ -1,6 +1,7 @@
 #include "graph/similarity_graph.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "common/serialize.h"
@@ -47,32 +48,81 @@ SimilarityGraph SimilarityGraph::from_lists(const std::vector<NeighborList>& lis
 
 SimilarityGraph SimilarityGraph::symmetrized() const {
   const std::size_t n = num_nodes();
-  // Count the union of forward and reverse edges per node.
-  std::vector<NeighborList> lists(n);
+  const auto num_ids = static_cast<NodeId>(n);
+
+  // Transpose by a counting sort over the sources in ascending order, so each
+  // reverse row comes out sorted by id, as each (checked) forward row is.
+  std::vector<std::int64_t> reverse_offsets(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    lists[v].edges.assign(neighbors(static_cast<NodeId>(v)).begin(),
-                          neighbors(static_cast<NodeId>(v)).end());
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    for (const Edge& edge : neighbors(static_cast<NodeId>(v))) {
-      lists[static_cast<std::size_t>(edge.neighbor)].edges.push_back(
-          Edge{static_cast<NodeId>(v), edge.weight});
+    const auto row = neighbors(static_cast<NodeId>(v));
+    for (std::size_t e = 0; e < row.size(); ++e) {
+      const NodeId u = row[e].neighbor;
+      if (u < 0 || u >= num_ids) {
+        throw std::invalid_argument("SimilarityGraph: neighbor id out of range");
+      }
+      if (u == static_cast<NodeId>(v)) {
+        throw std::invalid_argument("SimilarityGraph: self loop");
+      }
+      if (row[e].weight < 0.0f) {
+        throw std::invalid_argument("SimilarityGraph: negative weight");
+      }
+      if (e > 0 && !(row[e - 1].neighbor < u)) {
+        throw std::invalid_argument(
+            "SimilarityGraph::symmetrized: neighbor ids not strictly ascending");
+      }
+      ++reverse_offsets[static_cast<std::size_t>(u) + 1];
     }
   }
-  // Deduplicate, keeping the max weight among directions.
-  for (auto& list : lists) {
-    std::sort(list.edges.begin(), list.edges.end(),
-              [](const Edge& a, const Edge& b) {
-                if (a.neighbor != b.neighbor) return a.neighbor < b.neighbor;
-                return a.weight > b.weight;
-              });
-    list.edges.erase(std::unique(list.edges.begin(), list.edges.end(),
-                                 [](const Edge& a, const Edge& b) {
-                                   return a.neighbor == b.neighbor;
-                                 }),
-                     list.edges.end());
+  for (std::size_t v = 0; v < n; ++v) reverse_offsets[v + 1] += reverse_offsets[v];
+  std::vector<Edge> reverse_edges(static_cast<std::size_t>(reverse_offsets[n]));
+  {
+    std::vector<std::int64_t> next(reverse_offsets.begin(), reverse_offsets.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+      for (const Edge& edge : neighbors(static_cast<NodeId>(v))) {
+        reverse_edges[static_cast<std::size_t>(
+            next[static_cast<std::size_t>(edge.neighbor)]++)] =
+            Edge{static_cast<NodeId>(v), edge.weight};
+      }
+    }
   }
-  return from_lists(lists);
+
+  // Merges node v's forward and reverse rows in id order, keeping the larger
+  // weight of an edge present in both, and hands each edge to emit.
+  auto merge_row = [&](std::size_t v, auto&& emit) {
+    const auto forward = neighbors(static_cast<NodeId>(v));
+    const std::span<const Edge> reverse(
+        reverse_edges.data() + reverse_offsets[v],
+        static_cast<std::size_t>(reverse_offsets[v + 1] - reverse_offsets[v]));
+    std::size_t f = 0, r = 0;
+    while (f < forward.size() && r < reverse.size()) {
+      if (forward[f].neighbor < reverse[r].neighbor) {
+        emit(forward[f++]);
+      } else if (reverse[r].neighbor < forward[f].neighbor) {
+        emit(reverse[r++]);
+      } else {
+        emit(Edge{forward[f].neighbor, std::max(forward[f].weight, reverse[r].weight)});
+        ++f;
+        ++r;
+      }
+    }
+    for (; f < forward.size(); ++f) emit(forward[f]);
+    for (; r < reverse.size(); ++r) emit(reverse[r]);
+  };
+
+  // Two passes over the merge: one sizes the CSR rows, one fills them.
+  SimilarityGraph graph;
+  graph.offsets_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    std::int64_t degree = 0;
+    merge_row(v, [&degree](const Edge&) { ++degree; });
+    graph.offsets_[v + 1] = graph.offsets_[v] + degree;
+  }
+  graph.edges_.resize(static_cast<std::size_t>(graph.offsets_[n]));
+  for (std::size_t v = 0; v < n; ++v) {
+    Edge* out = graph.edges_.data() + graph.offsets_[v];
+    merge_row(v, [&out](const Edge& edge) { *out++ = edge; });
+  }
+  return graph;
 }
 
 std::size_t SimilarityGraph::min_degree() const {

@@ -39,7 +39,13 @@ class SimilarityGraph {
 
   /// Returns the symmetrized version of this graph: edge (a,b) exists iff it
   /// exists in either direction in the input; weight is the max of the
-  /// directions present (they coincide for metric similarities).
+  /// directions present (they coincide for metric similarities). O(E): a
+  /// counting-sort transpose, then one linear merge of each node's forward
+  /// and reverse rows straight into the output CSR. Throws
+  /// std::invalid_argument for a neighbor id outside [0, num_nodes()), a
+  /// self loop, a negative weight, or a row whose ids are not strictly
+  /// ascending (from_lists never builds one; a file read by load() can hold
+  /// one).
   SimilarityGraph symmetrized() const;
 
   std::size_t num_nodes() const noexcept {

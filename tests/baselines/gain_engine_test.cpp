@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <functional>
 
+#include "../testing/temp_dir.h"
 #include "../testing/test_instances.h"
 #include "baselines/baselines.h"
 #include "baselines/streaming.h"
@@ -55,7 +56,7 @@ TEST(MarginalGainEngine, SelectSkipsNeighborsAddedAfterConstruction) {
 class OutOfCoreReadsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_gain_engine_reads_test";
+    dir_ = testing::process_temp_path("subsel_gain_engine_reads_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "../testing/temp_dir.h"
+
 namespace subsel {
 namespace {
 
@@ -19,7 +21,7 @@ std::string read_file(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_csv_test";
+    dir_ = testing::process_temp_path("subsel_csv_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

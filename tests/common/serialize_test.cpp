@@ -4,13 +4,15 @@
 
 #include <filesystem>
 
+#include "../testing/temp_dir.h"
+
 namespace subsel {
 namespace {
 
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_serialize_test";
+    dir_ = testing::process_temp_path("subsel_serialize_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

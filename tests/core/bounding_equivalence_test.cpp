@@ -18,6 +18,7 @@
 
 #include "../testing/bounding_reference.h"
 #include "../testing/property.h"
+#include "../testing/temp_dir.h"
 #include "../testing/test_instances.h"
 #include "core/bounding.h"
 #include "graph/disk_ground_set.h"
@@ -53,6 +54,28 @@ std::size_t budget(std::size_t n, double fraction) {
 }
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The window GrowState's invariant names: the ascending ids of the
+/// unassigned points whose maintained Umax ≥ the floor.
+std::vector<NodeId> invariant_window(const SelectionState& state, const GrowState& grow) {
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    const auto v = static_cast<NodeId>(i);
+    if (state.is_unassigned(v) && grow.u_max()[i] >= grow.floor()) ids.push_back(v);
+  }
+  return ids;
+}
+
+/// The window with the points a Shrink pass discarded since the last Grow
+/// pass left out; the next Grow pass drops them first.
+std::vector<NodeId> unassigned_window(const SelectionState& state,
+                                      const GrowState& grow) {
+  std::vector<NodeId> ids;
+  for (const NodeId v : grow.window()) {
+    if (state.is_unassigned(v)) ids.push_back(v);
+  }
+  return ids;
+}
 
 /// Forwards to a ground set and counts neighborhood reads.
 class CountingGroundSet final : public graph::GroundSet {
@@ -177,7 +200,7 @@ TEST(BoundingEquivalence, ExpiredDeadlineDegradesIdentically) {
 }
 
 TEST(BoundingEquivalence, TinyCacheDiskGroundSetMatchesInMemoryReference) {
-  const auto dir = std::filesystem::temp_directory_path() / "subsel_bounding_equivalence";
+  const auto dir = testing::process_temp_path("subsel_bounding_equivalence");
   std::filesystem::create_directories(dir);
   graph::DiskGroundSetConfig cache;
   cache.block_edges = 64;  // ~6 nodes per block
@@ -208,10 +231,14 @@ TEST(BoundingEquivalence, TinyCacheDiskGroundSetMatchesInMemoryReference) {
 }
 
 TEST(BoundingEquivalence, MaintainedUmaxStaysBitIdenticalAndBoundsUexp) {
-  // Drives shrink/grow passes by hand. After every pass: each unassigned
-  // point's Uexp ≤ Umax holds bit for bit (the fact the pruning rests on),
-  // the Umax grow_step maintains equals a fresh full pass bit for bit, and
-  // the pass selected what the full-pass Grow selects from the same state.
+  // Drives shrink/grow passes by hand, carrying one GrowState across them as
+  // bound() does. After every pass the window holds exactly the unassigned
+  // points whose Umax ≥ its floor (after a Shrink pass, up to the points that
+  // pass discarded). After every Grow pass: each unassigned point's
+  // Uexp ≤ Umax holds bit for bit (the fact the pruning rests on), the Umax
+  // grow_step maintains equals a fresh full pass bit for bit, and the pass
+  // selected what the full-pass Grow selects from the same state.
+  std::size_t most_rebuilds = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Instance instance = clustered_instance(400, seed);
     const auto ground_set = instance.ground_set();
@@ -219,42 +246,53 @@ TEST(BoundingEquivalence, MaintainedUmaxStaysBitIdenticalAndBoundsUexp) {
       const BoundingConfig config = make_config(sampling, seed);
       const ObjectiveParams params = params_for(seed);
       SelectionState state(400);
-      std::vector<double> u_max = instance.utilities;
-      std::size_t k_remaining = 80;
+      GrowState grow(instance.utilities);
+      std::size_t k_remaining = 80, rebuilds = 0;
       std::uint64_t salt = 0;
       for (int round = 0; round < 100 && k_remaining > 0; ++round) {
         const std::size_t discarded =
             shrink_step(ground_set, params, state, k_remaining, config, ++salt);
+        ASSERT_EQ(unassigned_window(state, grow), invariant_window(state, grow))
+            << "seed " << seed << " round " << round << " after shrink";
 
         SelectionState reference_state = state;
         std::size_t reference_k = k_remaining;
         ++salt;
         reference_grow_step(ground_set, params, reference_state, reference_k, config,
                             salt);
+        const double floor_before = grow.floor();
         const std::size_t grown =
-            grow_step(ground_set, params, state, k_remaining, u_max, config, salt);
+            grow_step(ground_set, params, state, k_remaining, grow, config, salt);
+        if (grow.floor() != floor_before) ++rebuilds;
         ASSERT_EQ(state.selected_ids(), reference_state.selected_ids())
             << "seed " << seed << " round " << round;
         ASSERT_EQ(k_remaining, reference_k);
+        ASSERT_EQ(grow.window(), invariant_window(state, grow))
+            << "seed " << seed << " round " << round << " after grow";
 
         std::vector<double> fresh_min, fresh_max;
         detail::compute_utility_bounds(ground_set, params, state, config,
                                        salt + 1, fresh_min, fresh_max);
         for (std::size_t i = 0; i < state.size(); ++i) {
           if (!state.is_unassigned(static_cast<NodeId>(i))) continue;
-          ASSERT_EQ(bits(u_max[i]), bits(fresh_max[i]))
+          ASSERT_EQ(bits(grow.u_max()[i]), bits(fresh_max[i]))
               << "seed " << seed << " round " << round << " point " << i;
           ASSERT_LE(fresh_min[i], fresh_max[i])
               << "seed " << seed << " round " << round << " point " << i;
         }
         if (discarded == 0 && grown == 0) break;
       }
+      most_rebuilds = std::max(most_rebuilds, rebuilds);
     }
   }
+  // Some run must outlive its first window, so the carried window and the
+  // rebuild rule are both exercised. Only a rebuild moves the floor, so the
+  // floor changes count rebuilds (one that lands on the same floor is missed).
+  EXPECT_GE(most_rebuilds, 2u);
 }
 
 TEST(BoundingReads, GrowPassReadsOnlyCandidatesAndSelectedNeighborhoods) {
-  std::size_t grow_reads = 0, full_pass_reads = 0;
+  std::size_t grow_reads = 0, full_pass_reads = 0, most_rebuilds = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Instance instance = clustered_instance(600, seed);
     const auto ground_set = instance.ground_set();
@@ -263,27 +301,35 @@ TEST(BoundingReads, GrowPassReadsOnlyCandidatesAndSelectedNeighborhoods) {
       const BoundingConfig config = make_config(sampling, seed);
       const ObjectiveParams params = params_for(seed);
       SelectionState state(600);
-      std::vector<double> u_max = instance.utilities;
-      std::size_t k_remaining = 120;
+      GrowState grow(instance.utilities);
+      std::size_t k_remaining = 120, rebuilds = 0;
       std::uint64_t salt = 0;
       for (int round = 0; round < 100 && k_remaining > 0; ++round) {
         const std::size_t discarded =
             shrink_step(ground_set, params, state, k_remaining, config, ++salt);
+        ASSERT_EQ(unassigned_window(state, grow), invariant_window(state, grow))
+            << "seed " << seed << " round " << round << " after shrink";
         const SelectionState before = state;
         const std::size_t k_before = k_remaining;
         counting.reset();
+        const double floor_before = grow.floor();
         const std::size_t grown =
-            grow_step(counting, params, state, k_remaining, u_max, config, ++salt);
+            grow_step(counting, params, state, k_remaining, grow, config, ++salt);
+        if (grow.floor() != floor_before) ++rebuilds;
         EXPECT_LE(counting.reads(),
                   grow_read_allowance(ground_set, before, k_before, state))
             << "seed " << seed << " round " << round;
+        ASSERT_EQ(grow.window(), invariant_window(state, grow))
+            << "seed " << seed << " round " << round << " after grow";
         grow_reads += counting.reads();
         full_pass_reads += before.num_unassigned();
         if (discarded == 0 && grown == 0) break;
       }
+      most_rebuilds = std::max(most_rebuilds, rebuilds);
     }
   }
   EXPECT_LT(grow_reads, full_pass_reads);
+  EXPECT_GE(most_rebuilds, 2u);
 }
 
 TEST(BoundingReads, BoundReadsNoMoreThanFullShrinksAndPrunedGrows) {

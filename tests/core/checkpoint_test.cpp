@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../testing/temp_dir.h"
 #include "../testing/test_instances.h"
 #include "common/failpoint.h"
 #include "core/distributed_greedy.h"
@@ -25,7 +26,7 @@ using subsel::testing::random_instance;
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_ckpt_test";
+    dir_ = testing::process_temp_path("subsel_ckpt_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../testing/temp_dir.h"
 #include "core/objective.h"
 
 namespace subsel::data {
@@ -14,7 +15,7 @@ namespace {
 class DatasetIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_io_test";
+    dir_ = testing::process_temp_path("subsel_io_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

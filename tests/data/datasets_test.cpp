@@ -5,13 +5,15 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "../testing/temp_dir.h"
+
 namespace subsel::data {
 namespace {
 
 class DatasetsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_dir_ = std::filesystem::temp_directory_path() / "subsel_datasets_test";
+    cache_dir_ = testing::process_temp_path("subsel_datasets_test");
     std::filesystem::remove_all(cache_dir_);
     std::filesystem::create_directories(cache_dir_);
     setenv("SUBSEL_CACHE_DIR", cache_dir_.c_str(), 1);

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <map>
 
+#include "../testing/temp_dir.h"
+
 namespace subsel::data {
 namespace {
 
@@ -15,7 +17,7 @@ using graph::NodeId;
 class PerturbedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_dir_ = std::filesystem::temp_directory_path() / "subsel_perturbed_test";
+    cache_dir_ = testing::process_temp_path("subsel_perturbed_test");
     std::filesystem::create_directories(cache_dir_);
     setenv("SUBSEL_CACHE_DIR", cache_dir_.c_str(), 1);
     base_ = toy_dataset(64, 4, 17);

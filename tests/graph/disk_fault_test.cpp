@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "../testing/temp_dir.h"
 #include "common/failpoint.h"
 #include "data/datasets.h"
 
@@ -20,7 +21,7 @@ class DiskFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::disarm_all();
-    dir_ = std::filesystem::temp_directory_path() / "subsel_disk_fault_test";
+    dir_ = testing::process_temp_path("subsel_disk_fault_test");
     std::filesystem::create_directories(dir_);
     dataset_ = data::toy_dataset(800, 10, 44);
     graph_path_ = (dir_ / "graph.bin").string();

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <future>
 
+#include "../testing/temp_dir.h"
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/bounding.h"
@@ -24,7 +25,7 @@ namespace {
 class DiskGroundSetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_disk_gs_test";
+    dir_ = testing::process_temp_path("subsel_disk_gs_test");
     std::filesystem::create_directories(dir_);
     dataset_ = data::toy_dataset(800, 10, 44);
     graph_path_ = (dir_ / "graph.bin").string();

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "../testing/temp_dir.h"
 #include "../testing/test_instances.h"
 #include "api/objective_registry.h"
 #include "api/solver_registry.h"
@@ -42,7 +43,7 @@ const CacheCase kCacheCases[] = {
 class DiskMemoryEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_disk_equiv_test";
+    dir_ = testing::process_temp_path("subsel_disk_equiv_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "../testing/temp_dir.h"
 #include "../testing/test_instances.h"
 #include "common/thread_pool.h"
 #include "graph/disk_ground_set.h"
@@ -42,7 +43,7 @@ std::uint64_t node_checksum(std::span<const Edge> edges) {
 class DiskStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_disk_stress_test";
+    dir_ = testing::process_temp_path("subsel_disk_stress_test");
     std::filesystem::create_directories(dir_);
     instance_ = random_instance(1500, 8, 77031);
     graph_path_ = (dir_ / "stress.graph").string();

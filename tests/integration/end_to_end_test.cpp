@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 
+#include "../testing/temp_dir.h"
 #include "api/solver_registry.h"
 #include "baselines/baselines.h"
 #include "beam/beam_scoring.h"
@@ -25,7 +26,7 @@ namespace {
 class EndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cache_dir_ = std::filesystem::temp_directory_path() / "subsel_e2e_test";
+    cache_dir_ = testing::process_temp_path("subsel_e2e_test");
     std::filesystem::create_directories(cache_dir_);
     setenv("SUBSEL_CACHE_DIR", cache_dir_.c_str(), 1);
   }
@@ -221,7 +222,7 @@ TEST_F(EndToEndTest, DiskCheckpointFaultToleranceCompose) {
   // All the operational features at once: a disk-resident adjacency, a
   // checkpointed greedy run preempted twice, and a final dataflow re-score
   // on a lossy cluster — the result must equal the plain in-memory path.
-  const auto scratch = std::filesystem::temp_directory_path() / "subsel_compose";
+  const auto scratch = testing::process_temp_path("subsel_compose");
   std::filesystem::create_directories(scratch);
   const std::string data_path = (scratch / "data").string();
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../testing/temp_dir.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "core/distributed_greedy.h"
@@ -24,7 +25,7 @@ class FaultInjectionStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     failpoint::disarm_all();
-    dir_ = std::filesystem::temp_directory_path() / "subsel_fault_stress_test";
+    dir_ = testing::process_temp_path("subsel_fault_stress_test");
     std::filesystem::create_directories(dir_);
     dataset_ = data::toy_dataset(600, 10, 55);
     graph_path_ = (dir_ / "graph.bin").string();

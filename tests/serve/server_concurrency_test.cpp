@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "../testing/temp_dir.h"
 #include "data/dataset_io.h"
 #include "data/datasets.h"
 #include "serve/server.h"
@@ -28,7 +29,7 @@ constexpr std::size_t kRequestsPerThread = 6;
 class ServeConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "subsel_serve_conc_test";
+    dir_ = testing::process_temp_path("subsel_serve_conc_test");
     std::filesystem::create_directories(dir_);
     const auto dataset = data::toy_dataset(3000, 10, 77);
     prefix_ = (dir_ / "toy").string();

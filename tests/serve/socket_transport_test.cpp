@@ -6,7 +6,6 @@
 #include "serve/socket_server.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -15,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "../testing/temp_dir.h"
 #include "data/datasets.h"
 #include "graph/ground_set.h"
 #include "serve/client.h"
@@ -36,10 +36,7 @@ class SocketTransportTest : public ::testing::Test {
     server_ = std::make_unique<SelectionServer>(config);
     server_->register_ground_set("toy", ground_set_.get());
 
-    socket_path_ = (std::filesystem::temp_directory_path() /
-                    ("subsel_transport_test_" +
-                     std::to_string(::getpid()) + ".sock"))
-                       .string();
+    socket_path_ = testing::process_temp_path("subsel_transport_test").string() + ".sock";
     transport_ = std::make_unique<SocketServer>(*server_, socket_path_);
     accept_thread_ = std::thread([this] { transport_->run(); });
   }
