@@ -117,8 +117,7 @@ struct ConstraintOptions {
   std::vector<std::uint32_t> groups;
   std::vector<std::size_t> group_caps;
   std::size_t group_cap = 0;
-  /// Ids that may never be selected. OverlayGroundSet deletions are folded
-  /// in automatically by the registry; listing them here too is harmless.
+  /// Ids that may never be selected (any order; duplicates are dropped).
   std::vector<NodeId> blocked;
 
   bool any() const noexcept {
@@ -217,7 +216,7 @@ struct ConstraintSummary {
   /// knapsack family is inactive).
   double selected_cost = 0.0;
   std::size_t num_groups = 0;   // distinct capped groups
-  std::size_t num_blocked = 0;  // blocked ids (overlay deletions included)
+  std::size_t num_blocked = 0;  // distinct blocked ids
   /// Post-hoc feasibility of the returned selection — always true by
   /// construction; recorded so reports are self-auditing.
   bool feasible = true;
@@ -284,8 +283,7 @@ struct SelectionReport {
   /// Round statistics for the multi-round solvers (empty otherwise).
   std::vector<core::RoundStats> rounds;
   std::optional<BoundingSummary> bounding;
-  /// Present iff the request carried constraints (or the ground set is an
-  /// overlay with deletions, which the registry folds into blocked ids).
+  /// Present iff the request carried constraints.
   std::optional<ConstraintSummary> constraints;
   /// Present iff the run was out-of-core (graph::DiskGroundSet-backed).
   std::optional<DiskCacheSummary> disk_cache;

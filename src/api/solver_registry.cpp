@@ -13,7 +13,6 @@
 #include "core/selection_pipeline.h"
 #include "dataflow/pipeline.h"
 #include "graph/disk_ground_set.h"
-#include "graph/overlay_ground_set.h"
 
 namespace subsel::api {
 namespace {
@@ -498,9 +497,8 @@ SelectionReport SolverRegistry::run(const SelectionRequest& request,
   core::validate_epsilon(request.streaming.epsilon,
                          "SelectionRequest.streaming.epsilon");
 
-  // Resolve the request's constraint block into a validated ConstraintSet.
-  // Overlay deletions fold into the blocked set so every solver skips dead
-  // points; a fully empty result stays nullptr and keeps the solver on its
+  // Resolve the request's constraint block into a validated ConstraintSet. A
+  // fully empty result stays nullptr and keeps the solver on its
   // bit-identical unconstrained path.
   core::ConstraintSet constraint_set;
   constraint_set.costs = request.constraints.costs;
@@ -514,12 +512,6 @@ SelectionReport SolverRegistry::run(const SelectionRequest& request,
         constraint_set.groups.begin(), constraint_set.groups.end());
     constraint_set.group_caps.assign(max_group + 1,
                                      request.constraints.group_cap);
-  }
-  if (const auto* overlay = dynamic_cast<const graph::OverlayGroundSet*>(
-          request.ground_set)) {
-    const std::vector<NodeId> dead = overlay->deleted_ids();
-    constraint_set.blocked.insert(constraint_set.blocked.end(), dead.begin(),
-                                  dead.end());
   }
   const core::ConstraintSet* constraints = nullptr;
   if (!constraint_set.empty()) {

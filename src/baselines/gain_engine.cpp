@@ -67,8 +67,9 @@ void MarginalGainEngine::select(core::NodeId v) {
   membership_[static_cast<std::size_t>(v)] = 1;
   if (!pairwise_gains_.empty()) {
     // One read of N(v): each neighbor u loses β·s(v, u) from its gain. A
-    // selected u's entry is never read again, and ids >= n (points added to
-    // a mutable ground set after construction) have no entry.
+    // selected u's entry is never read again. Ids >= n have no entry; graph
+    // input is not yet checked at every entry point (ROADMAP, validation
+    // item), so one can still reach here.
     const std::size_t n = pairwise_gains_.size();
     for (const graph::Edge& e :
          kernel_->ground_set().neighbors_span(v, edge_scratch_)) {

@@ -56,9 +56,8 @@ class MarginalGainEngine {
   void gains_batch(std::span<const core::NodeId> candidates,
                    std::span<double> out) const;
 
-  /// Adds v (< n) to the solution. Neighbors with ids >= n — points a
-  /// mutable ground set gained after construction — carry no engine state
-  /// and are skipped.
+  /// Adds v (< n) to the solution. Neighbors with ids >= n carry no engine
+  /// state and are skipped.
   void select(core::NodeId v);
 
   bool incremental() const noexcept {

@@ -4,8 +4,7 @@
 //   - a knapsack budget: per-element costs plus a total cost budget,
 //   - a partition matroid: per-element group ids plus per-group caps
 //     (fairness quotas: "at most cap_g elements from group g"),
-//   - a blocked set: elements that may never be selected (the registry uses
-//     this to surface OverlayGroundSet deletions to every solver).
+//   - a blocked set: elements that may never be selected.
 //
 // All three are DOWNWARD CLOSED (every subset of a feasible set is feasible)
 // and MONOTONE INFEASIBLE under growth: once an element cannot be added to
@@ -16,7 +15,7 @@
 //
 // ConstraintSet is immutable shared configuration; ConstraintTracker is the
 // cheap per-solve mutable view (spent cost + per-group counts) providing
-// O(1) feasible / accept / remove. Solvers that never see a ConstraintSet
+// O(1) feasible / accept. Solvers that never see a ConstraintSet
 // (constraints == nullptr, the default everywhere) are bit-identical to the
 // pre-constraint code paths — checkpoints, golden fixtures, and the SIMD
 // parity contract all depend on that.
@@ -47,8 +46,8 @@ struct ConstraintSet {
   std::vector<std::uint32_t> groups;
   std::vector<std::size_t> group_caps;
 
-  /// Elements that may never be selected (deleted overlay points, explicit
-  /// exclusions). Sorted ascending, deduplicated by validate().
+  /// Elements that may never be selected. Sorted ascending, deduplicated by
+  /// validate().
   std::vector<NodeId> blocked;
 
   bool has_knapsack() const noexcept { return cost_budget > 0.0; }
@@ -86,7 +85,7 @@ struct ConstraintSet {
 };
 
 /// Mutable per-solve view over one ConstraintSet: the spent cost, per-group
-/// selection counts, and a blocked bitmap. feasible/accept/remove are O(1).
+/// selection counts, and a blocked bitmap. feasible/accept are O(1).
 /// Cheap to copy (sieve-streaming keeps one per sieve).
 class ConstraintTracker {
  public:
@@ -96,8 +95,7 @@ class ConstraintTracker {
 
   /// Counts an already-committed selection (pre-selected survivors from a
   /// bounding stage or a previous round) against the budgets. Infeasible
-  /// seeds are counted anyway — seeding never throws — so repair-style
-  /// callers must filter first via feasible().
+  /// seeds are counted anyway — seeding never throws.
   void seed(std::span<const NodeId> selected);
 
   /// Would adding `v` to the tracked selection stay feasible? Blocked
@@ -123,17 +121,6 @@ class ConstraintTracker {
     }
     if (constraints_->has_matroid()) {
       ++group_counts_[constraints_->groups[static_cast<std::size_t>(v)]];
-    }
-  }
-
-  /// Un-counts a previously accepted element (repair drops, never blocked
-  /// bookkeeping — blocked membership is static).
-  void remove(NodeId v) noexcept {
-    if (constraints_->has_knapsack()) {
-      spent_cost_ -= constraints_->costs[static_cast<std::size_t>(v)];
-    }
-    if (constraints_->has_matroid()) {
-      --group_counts_[constraints_->groups[static_cast<std::size_t>(v)]];
     }
   }
 

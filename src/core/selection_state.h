@@ -36,9 +36,10 @@ class SelectionState {
   PointState state(NodeId v) const noexcept {
     return states_[static_cast<std::size_t>(v)];
   }
-  /// False for ids past the state: a mutable ground set can hand out a
-  /// neighbor id inserted after the state was sized, and such a point was
-  /// never selected. state() and is_unassigned() keep requiring v < size().
+  /// False for ids past the state, which were never selected: graph input is
+  /// not yet checked at every entry point (ROADMAP, validation item), so a
+  /// neighbor id >= n can reach here. state() and is_unassigned() keep
+  /// requiring v < size().
   bool is_selected(NodeId v) const noexcept {
     return static_cast<std::size_t>(v) < states_.size() &&
            state(v) == PointState::kSelected;

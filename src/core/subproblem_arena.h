@@ -148,8 +148,8 @@ class SubproblemArena {
   }
 
   /// Local id of `global` in the current epoch, or kNotMember. Ids past the
-  /// map are never members: a mutable ground set can hand out a neighbor id
-  /// inserted after begin_membership_epoch sized the map.
+  /// map are never members: graph input is not yet checked at every entry
+  /// point (ROADMAP, validation item), so a neighbor id >= n can reach here.
   std::uint32_t local_of(graph::NodeId global) const noexcept {
     const auto index = static_cast<std::size_t>(global);
     if (index >= stamps_.size()) return kNotMember;

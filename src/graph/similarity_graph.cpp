@@ -10,6 +10,45 @@ namespace subsel::graph {
 namespace {
 constexpr std::uint64_t kGraphMagic = 0x5355424752415048ULL;  // "SUBGRAPH"
 constexpr std::uint32_t kGraphVersion = 1;
+
+/// Throws std::runtime_error naming `path` unless offsets/edges hold the CSR
+/// invariant from_lists builds: offsets run from 0 to |E| and never
+/// decrease, each row's ids lie in [0, n), rise strictly and never name the
+/// row itself, and weights are non-negative.
+void check_loaded_csr(const std::vector<std::int64_t>& offsets,
+                      const std::vector<Edge>& edges, const std::string& path) {
+  const auto fail = [&path](const char* what) {
+    throw std::runtime_error(std::string("SimilarityGraph::load: ") + what +
+                             " in " + path);
+  };
+  if (offsets.empty()) {
+    if (!edges.empty()) fail("edges without offsets");
+    return;
+  }
+  if (offsets.front() != 0) fail("first offset is not 0");
+  if (offsets.back() != static_cast<std::int64_t>(edges.size())) {
+    fail("last offset is not the edge count");
+  }
+  const std::size_t n = offsets.size() - 1;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (offsets[v + 1] < offsets[v]) fail("offsets decrease");
+  }
+  const auto num_ids = static_cast<NodeId>(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    NodeId previous = -1;
+    for (auto e = static_cast<std::size_t>(offsets[v]);
+         e < static_cast<std::size_t>(offsets[v + 1]); ++e) {
+      const Edge& edge = edges[e];
+      if (edge.neighbor < 0 || edge.neighbor >= num_ids) {
+        fail("neighbor id out of range");
+      }
+      if (edge.neighbor == static_cast<NodeId>(v)) fail("self loop");
+      if (edge.neighbor <= previous) fail("neighbor ids not strictly ascending");
+      if (edge.weight < 0.0f) fail("negative weight");
+      previous = edge.neighbor;
+    }
+  }
+}
 }  // namespace
 
 SimilarityGraph SimilarityGraph::from_lists(const std::vector<NeighborList>& lists) {
@@ -48,30 +87,12 @@ SimilarityGraph SimilarityGraph::from_lists(const std::vector<NeighborList>& lis
 
 SimilarityGraph SimilarityGraph::symmetrized() const {
   const std::size_t n = num_nodes();
-  const auto num_ids = static_cast<NodeId>(n);
 
   // Transpose by a counting sort over the sources in ascending order, so each
-  // reverse row comes out sorted by id, as each (checked) forward row is.
+  // reverse row comes out sorted by id, as each forward row is.
   std::vector<std::int64_t> reverse_offsets(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto row = neighbors(static_cast<NodeId>(v));
-    for (std::size_t e = 0; e < row.size(); ++e) {
-      const NodeId u = row[e].neighbor;
-      if (u < 0 || u >= num_ids) {
-        throw std::invalid_argument("SimilarityGraph: neighbor id out of range");
-      }
-      if (u == static_cast<NodeId>(v)) {
-        throw std::invalid_argument("SimilarityGraph: self loop");
-      }
-      if (row[e].weight < 0.0f) {
-        throw std::invalid_argument("SimilarityGraph: negative weight");
-      }
-      if (e > 0 && !(row[e - 1].neighbor < u)) {
-        throw std::invalid_argument(
-            "SimilarityGraph::symmetrized: neighbor ids not strictly ascending");
-      }
-      ++reverse_offsets[static_cast<std::size_t>(u) + 1];
-    }
+  for (const Edge& edge : edges_) {
+    ++reverse_offsets[static_cast<std::size_t>(edge.neighbor) + 1];
   }
   for (std::size_t v = 0; v < n; ++v) reverse_offsets[v + 1] += reverse_offsets[v];
   std::vector<Edge> reverse_edges(static_cast<std::size_t>(reverse_offsets[n]));
@@ -183,6 +204,7 @@ SimilarityGraph SimilarityGraph::load(const std::string& path) {
   SimilarityGraph graph;
   graph.offsets_ = reader.read_vector<std::int64_t>();
   graph.edges_ = reader.read_vector<Edge>();
+  check_loaded_csr(graph.offsets_, graph.edges_, path);
   return graph;
 }
 

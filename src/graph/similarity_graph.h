@@ -41,11 +41,7 @@ class SimilarityGraph {
   /// exists in either direction in the input; weight is the max of the
   /// directions present (they coincide for metric similarities). O(E): a
   /// counting-sort transpose, then one linear merge of each node's forward
-  /// and reverse rows straight into the output CSR. Throws
-  /// std::invalid_argument for a neighbor id outside [0, num_nodes()), a
-  /// self loop, a negative weight, or a row whose ids are not strictly
-  /// ascending (from_lists never builds one; a file read by load() can hold
-  /// one).
+  /// and reverse rows straight into the output CSR.
   SimilarityGraph symmetrized() const;
 
   std::size_t num_nodes() const noexcept {
@@ -83,6 +79,11 @@ class SimilarityGraph {
   }
 
   void save(const std::string& path) const;
+  /// Reads a graph written by save(). Throws std::runtime_error naming the
+  /// path for a bad magic or version, or for arrays that break the CSR
+  /// invariant from_lists enforces (offsets from 0 to num_edges() that never
+  /// decrease; per row, ids in [0, num_nodes()) strictly ascending with no
+  /// self loop; non-negative weights).
   static SimilarityGraph load(const std::string& path);
 
  private:

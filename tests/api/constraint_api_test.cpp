@@ -4,7 +4,7 @@
 // audit and the report must carry a truthful ConstraintSummary — or is
 // rejected up-front with the typed incompatibility_reason. Plus the
 // request-resolution details the registry owns: uniform group-cap
-// expansion, overlay-deletion folding into blocked ids, the
+// expansion, the deduplicated blocked-id count and its report summary, the
 // bounding×constraints reject, and the constrained-request JSON echo.
 #include "api/solver_registry.h"
 
@@ -19,7 +19,6 @@
 #include "../testing/property.h"
 #include "../testing/test_instances.h"
 #include "api/objective_registry.h"
-#include "graph/overlay_ground_set.h"
 
 namespace subsel::api {
 namespace {
@@ -244,24 +243,21 @@ TEST(ConstraintApiConformance, UniformGroupCapExpandsToEveryGroup) {
   EXPECT_EQ(report.constraints->num_groups, 4u);
 }
 
-TEST(ConstraintApiConformance, OverlayDeletionsAreFoldedIntoBlocked) {
+TEST(ConstraintApiConformance, BlockedIdsAreDeduplicatedIntoTheSummary) {
   const Instance instance = random_instance(30, 4, 63);
-  const auto base = instance.ground_set();
-  graph::OverlayGroundSet overlay(base);
-  overlay.erase(2);
-  overlay.erase(11);
-  overlay.erase(19);
+  const auto ground_set = instance.ground_set();
 
   SelectionRequest request;
-  request.ground_set = &overlay;
+  request.ground_set = &ground_set;
   request.k = 10;
   request.solver = "lazy-greedy";
   request.bounding.enabled = false;
+  // Out of order and with a repeat: validate() sorts and dedups.
+  request.constraints.blocked = {19, 2, 11, 2};
 
-  // No explicit constraints: the registry folds the deletions in on its own.
   const SelectionReport report = select(request);
   for (const NodeId v : report.selected) {
-    EXPECT_TRUE(overlay.is_live(v)) << "selected deleted id " << v;
+    EXPECT_TRUE(v != 2 && v != 11 && v != 19) << "selected blocked id " << v;
   }
   ASSERT_TRUE(report.constraints.has_value());
   EXPECT_EQ(report.constraints->num_blocked, 3u);

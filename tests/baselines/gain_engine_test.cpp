@@ -1,7 +1,7 @@
 // The full-ground-set gain engine behind the centralized baselines: pairwise
 // gains are maintained (Algorithm 2's accounting), so a solve reads one
 // neighborhood per selection, and the maintained array stays in bounds when
-// the ground set grows underneath it.
+// a neighborhood names an id >= n.
 #include "baselines/gain_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "baselines/baselines.h"
 #include "baselines/streaming.h"
 #include "graph/disk_ground_set.h"
-#include "graph/overlay_ground_set.h"
 
 namespace subsel::baselines {
 namespace {
@@ -22,24 +21,37 @@ namespace {
 using subsel::testing::Instance;
 using subsel::testing::random_instance;
 
-TEST(MarginalGainEngine, SelectSkipsNeighborsAddedAfterConstruction) {
-  // An overlay may grow mid-solve: insert() adds the reverse edge to a live
-  // node, so N(v) can name an id >= the n the engine was built over.
+/// The base ground set with one extra edge {n, 0.5} appended to N(17): a
+/// neighbor id past num_points(), as unchecked graph input can hold.
+class OutOfRangeNeighborGroundSet final : public graph::GroundSet {
+ public:
+  static constexpr NodeId kNode = 17;
+  explicit OutOfRangeNeighborGroundSet(const graph::GroundSet& base) : base_(base) {}
+
+  std::size_t num_points() const override { return base_.num_points(); }
+  double utility(NodeId v) const override { return base_.utility(v); }
+  void neighbors(NodeId v, std::vector<graph::Edge>& out) const override {
+    base_.neighbors(v, out);
+    if (v == kNode) out.push_back({static_cast<NodeId>(num_points()), 0.5f});
+  }
+
+ private:
+  const graph::GroundSet& base_;
+};
+
+TEST(MarginalGainEngine, SelectSkipsNeighborIdsPastTheGroundSet) {
   const std::size_t n = 80;
   const Instance instance = random_instance(n, 5, 41500);
   const auto base = instance.ground_set();
-  graph::OverlayGroundSet overlay(base);
+  const OutOfRangeNeighborGroundSet grown(base);
   const auto params = ObjectiveParams::from_alpha(0.9);
-  const core::PairwiseKernel kernel(overlay, params);
+  const core::PairwiseKernel kernel(grown, params);
   const core::PairwiseKernel base_kernel(base, params);
   MarginalGainEngine engine(kernel);
   MarginalGainEngine reference(base_kernel);
 
-  const NodeId v = 17;
-  const graph::Edge edge{v, 0.5f};
-  const NodeId added = overlay.insert(1.0, std::span<const graph::Edge>(&edge, 1));
-  ASSERT_EQ(added, static_cast<NodeId>(n));
-  ASSERT_EQ(overlay.degree(v), base.degree(v) + 1);
+  const NodeId v = OutOfRangeNeighborGroundSet::kNode;
+  ASSERT_EQ(grown.degree(v), base.degree(v) + 1);
 
   engine.select(v);
   reference.select(v);

@@ -114,7 +114,7 @@ TEST(ConstraintSetFitsCost, SlackAbsorbsFloatSumNoise) {
   EXPECT_FALSE(over.feasible_subset(std::vector<NodeId>{0, 1, 2, 3}));
 }
 
-TEST(ConstraintTracker, AcceptRemoveRoundTripsAndBlockedStaysBlocked) {
+TEST(ConstraintTracker, AcceptAndSeedCountAlikeAndBlockedStaysBlocked) {
   ConstraintSet c;
   c.cost_budget = 1.0;
   c.costs = {0.6, 0.6, 0.1};
@@ -128,9 +128,7 @@ TEST(ConstraintTracker, AcceptRemoveRoundTripsAndBlockedStaysBlocked) {
   EXPECT_TRUE(tracker.feasible(0));
   tracker.accept(0);
   EXPECT_FALSE(tracker.feasible(1));  // over budget AND group 0 full
-  tracker.remove(0);
-  EXPECT_TRUE(tracker.feasible(1));   // un-counting restores feasibility
-  EXPECT_DOUBLE_EQ(tracker.spent_cost(), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.spent_cost(), 0.6);
 
   // seed() counts committed survivors exactly like accept().
   ConstraintTracker seeded(c);

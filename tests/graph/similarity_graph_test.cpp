@@ -293,52 +293,74 @@ void write_graph_file(const std::string& path, const std::vector<std::int64_t>& 
   ASSERT_TRUE(writer.ok());
 }
 
-class SymmetrizeErrors : public ::testing::Test {
+class GraphLoadErrors : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::process_temp_path("subsel_symmetrize_test");
+    dir_ = testing::process_temp_path("subsel_graph_load_test");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
+  SimilarityGraph load_csr(const std::vector<std::int64_t>& offsets,
+                           const std::vector<Edge>& edges) {
+    const std::string path = (dir_ / "g.bin").string();
+    write_graph_file(path, offsets, edges);
+    return SimilarityGraph::load(path);
+  }
+
   /// Loads a 3-node graph whose node 0 has `row` and the others no edges.
   SimilarityGraph load_with_row(const std::vector<Edge>& row) {
-    const std::string path = (dir_ / "g.bin").string();
-    write_graph_file(path, {0, static_cast<std::int64_t>(row.size()),
-                            static_cast<std::int64_t>(row.size()),
-                            static_cast<std::int64_t>(row.size())},
-                     row);
-    return SimilarityGraph::load(path);
+    const auto size = static_cast<std::int64_t>(row.size());
+    return load_csr({0, size, size, size}, row);
   }
 
   std::filesystem::path dir_;
 };
 
-TEST_F(SymmetrizeErrors, HandWrittenWellFormedRowSymmetrizes) {
+TEST_F(GraphLoadErrors, HandWrittenWellFormedRowSymmetrizes) {
   const SimilarityGraph sym = load_with_row({{1, 0.5f}, {2, 0.25f}}).symmetrized();
   EXPECT_EQ(sym.num_edges(), 4u);
   EXPECT_TRUE(sym.is_symmetric());
+  EXPECT_EQ(load_csr({}, {}).num_nodes(), 0u);  // what a default graph saves
 }
 
-TEST_F(SymmetrizeErrors, RowOutOfAscendingOrderThrows) {
-  EXPECT_THROW(load_with_row({{2, 0.5f}, {1, 0.5f}}).symmetrized(),
-               std::invalid_argument);
+TEST_F(GraphLoadErrors, RowOutOfAscendingOrderThrows) {
+  EXPECT_THROW(load_with_row({{2, 0.5f}, {1, 0.5f}}), std::runtime_error);
   // A repeated id is out of strict order too.
-  EXPECT_THROW(load_with_row({{1, 0.5f}, {1, 0.4f}}).symmetrized(),
-               std::invalid_argument);
+  EXPECT_THROW(load_with_row({{1, 0.5f}, {1, 0.4f}}), std::runtime_error);
 }
 
-TEST_F(SymmetrizeErrors, NeighborIdOutOfRangeThrows) {
-  EXPECT_THROW(load_with_row({{3, 0.5f}}).symmetrized(), std::invalid_argument);
-  EXPECT_THROW(load_with_row({{-1, 0.5f}}).symmetrized(), std::invalid_argument);
+TEST_F(GraphLoadErrors, NeighborIdOutOfRangeThrows) {
+  EXPECT_THROW(load_with_row({{3, 0.5f}}), std::runtime_error);
+  EXPECT_THROW(load_with_row({{-1, 0.5f}}), std::runtime_error);
+  EXPECT_THROW(load_with_row({{NodeId{1} << 40, 0.5f}}), std::runtime_error);
 }
 
-TEST_F(SymmetrizeErrors, SelfLoopThrows) {
-  EXPECT_THROW(load_with_row({{0, 0.5f}}).symmetrized(), std::invalid_argument);
+TEST_F(GraphLoadErrors, SelfLoopThrows) {
+  EXPECT_THROW(load_with_row({{0, 0.5f}}), std::runtime_error);
 }
 
-TEST_F(SymmetrizeErrors, NegativeWeightThrows) {
-  EXPECT_THROW(load_with_row({{1, -0.5f}}).symmetrized(), std::invalid_argument);
+TEST_F(GraphLoadErrors, NegativeWeightThrows) {
+  EXPECT_THROW(load_with_row({{1, -0.5f}}), std::runtime_error);
+}
+
+TEST_F(GraphLoadErrors, NonzeroFirstOffsetThrows) {
+  EXPECT_THROW(load_csr({1, 1, 1, 1}, {{1, 0.5f}}), std::runtime_error);
+}
+
+TEST_F(GraphLoadErrors, DecreasingOffsetThrows) {
+  EXPECT_THROW(load_csr({0, 2, 1, 2}, {{1, 0.5f}, {2, 0.5f}}), std::runtime_error);
+}
+
+TEST_F(GraphLoadErrors, OffsetOfTenToTheTwelfthThrows) {
+  EXPECT_THROW(load_csr({0, 1'000'000'000'000, 2, 2}, {{1, 0.5f}, {2, 0.5f}}),
+               std::runtime_error);
+}
+
+TEST_F(GraphLoadErrors, LastOffsetOtherThanEdgeCountThrows) {
+  EXPECT_THROW(load_csr({0, 1, 1, 1}, {{1, 0.5f}, {2, 0.5f}}), std::runtime_error);
+  EXPECT_THROW(load_csr({0, 2, 2, 3}, {{1, 0.5f}, {2, 0.5f}}), std::runtime_error);
+  EXPECT_THROW(load_csr({}, {{1, 0.5f}}), std::runtime_error);
 }
 
 }  // namespace
