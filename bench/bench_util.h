@@ -215,7 +215,7 @@ inline HeatmapResult run_heatmap(const HeatmapSpec& spec) {
       config.num_machines = spec.partitions[p];
       config.num_rounds = spec.rounds[r];
       config.adaptive_partitioning = spec.adaptive;
-      config.delta = core::linear_delta(spec.delta_gamma);
+      config.delta_gamma = spec.delta_gamma;
       config.seed = spec.seed + 1000 * p + r;
       const auto run = core::distributed_greedy(kernel, k, config);
       result.objectives[p][r] = run.objective;

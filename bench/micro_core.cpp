@@ -33,8 +33,8 @@
 //
 // The KERNEL HOT PATH: the coverage-family (facility location, saturated
 // coverage) solve phase over the whole ground set through the flat
-// incremental state and batched gains, in the lazy (priority-queue) and
-// sampled (stochastic) regimes.
+// incremental state and the batched lazy driver — the partition solve of
+// every non-pairwise kernel.
 //
 // The DISK HOT PATH: the out-of-core read path under worker-thread
 // concurrency — the per-partition neighborhood scans of a distributed-greedy
@@ -55,7 +55,7 @@
 //   --kernel-nodes=N   kernel harness ground set size (default = --hot-nodes)
 //   --kernel-k-frac=F  kernel harness budget fraction (default 0.01)
 //   --simd-matrix      also run the vectorized-backend harness: each kernel's
-//                      incremental solve phase under forced scalar and under
+//                      lazy partition solve under forced scalar and under
 //                      the native backend (selections and objectives must be
 //                      bit-identical, exit 2 otherwise); written to
 //                      BENCH_simd_kernels.json
@@ -378,9 +378,6 @@ struct KernelHotPathResult {
   std::size_t state_bytes = 0;
   /// Priority-queue (lazy) solve: refresh-dominated.
   double lazy_solve_ms = 0.0;
-  /// Sampled solve (the stochastic partition solver): one batched
-  /// re-evaluation of the drawn sample per step — isolates the gain loops.
-  double sampled_solve_ms = 0.0;
 };
 
 struct KernelHotPathConfig {
@@ -502,7 +499,6 @@ std::vector<KernelHotPathResult> run_kernel_hot_path(
     members[i] = static_cast<core::NodeId>(i);
   }
 
-  constexpr double kEpsilon = 0.1;  // sampled-regime parameter
   std::vector<KernelHotPathResult> results;
   for (const core::ObjectiveKernel* kernel : kernels) {
     KernelHotPathResult result;
@@ -518,26 +514,17 @@ std::vector<KernelHotPathResult> run_kernel_hot_path(
       state->reset(sub, nullptr);
       core::incremental_greedy_on_subproblem(sub, k, *state, arena);
       const double lazy_ms = timer.elapsed_seconds() * 1e3;
-      timer.reset();
-      state->reset(sub, nullptr, /*init_priorities=*/false);
-      core::stochastic_greedy_on_subproblem(sub, k, *state, kEpsilon, config.seed,
-                                            arena);
-      const double sampled_ms = timer.elapsed_seconds() * 1e3;
 
       if (iter == 0) {
         result.materialize_ms = materialize_ms;
         result.lazy_solve_ms = lazy_ms;
-        result.sampled_solve_ms = sampled_ms;
         result.state_bytes = state->state_bytes();
       } else {
         result.materialize_ms = std::min(result.materialize_ms, materialize_ms);
         result.lazy_solve_ms = std::min(result.lazy_solve_ms, lazy_ms);
-        result.sampled_solve_ms = std::min(result.sampled_solve_ms, sampled_ms);
       }
-      std::printf("%-20s iter %zu: materialize %.0f ms | lazy %.0f ms |"
-                  " sampled %.0f ms\n",
-                  result.objective.c_str(), iter, materialize_ms, lazy_ms,
-                  sampled_ms);
+      std::printf("%-20s iter %zu: materialize %.0f ms | lazy %.0f ms\n",
+                  result.objective.c_str(), iter, materialize_ms, lazy_ms);
     }
     results.push_back(std::move(result));
   }
@@ -863,9 +850,8 @@ int write_micro_core_json(const std::string& path, const std::string& scale,
     json.key("kernel_hotpath").begin_object();
     json.key("workload")
         .value("non-pairwise solve phase, full ground set: flat incremental "
-               "state + batched gains, in the lazy (priority-queue) and "
-               "sampled (stochastic, one batched re-evaluation of the drawn "
-               "sample per step) regimes");
+               "state + batched gains under the lazy (priority-queue) "
+               "driver");
     json.key("nodes").value(kernel_config.nodes);
     json.key("k").value(kernel_k);
     json.key("iterations").value(kernel_config.iterations);
@@ -876,7 +862,6 @@ int write_micro_core_json(const std::string& path, const std::string& scale,
       json.key("materialize_ms").value(result.materialize_ms);
       json.key("state_bytes").value(result.state_bytes);
       json.key("lazy_solve_ms").value(result.lazy_solve_ms);
-      json.key("sampled_solve_ms").value(result.sampled_solve_ms);
       json.end_object();
     }
     json.end_array();
@@ -1327,19 +1312,15 @@ struct SimdKernelRow {
   // Best-of merges via std::min, so times start at +inf; every row runs at
   // least one iteration before being reported.
   double scalar_lazy_ms = HUGE_VAL;
-  double scalar_sampled_ms = HUGE_VAL;
   double native_lazy_ms = HUGE_VAL;
-  double native_sampled_ms = HUGE_VAL;
   /// Selections AND objectives bit-identical between the forced-scalar and
   /// native-backend states — the exit-2 invariant (exact backends only ever
   /// reorder lanes the same way; see core/kernel_simd.h).
   bool identical = true;
-  double scalar_ms() const { return scalar_lazy_ms + scalar_sampled_ms; }
-  double native_ms() const { return native_lazy_ms + native_sampled_ms; }
   /// The same state arithmetic under the forced portable fallback — the
   /// vector win of the native backend.
   double speedup_vs_scalar() const {
-    return native_ms() > 0.0 ? scalar_ms() / native_ms() : 0.0;
+    return native_lazy_ms > 0.0 ? scalar_lazy_ms / native_lazy_ms : 0.0;
   }
 };
 
@@ -1377,24 +1358,21 @@ int run_simd_matrix(SimdMatrixConfig config) {
     members[i] = static_cast<core::NodeId>(i);
   }
 
-  constexpr double kEpsilon = 0.1;
   std::vector<SimdKernelRow> rows;
   int status = 0;
   for (const core::ObjectiveKernel* kernel : kernels) {
     SimdKernelRow row;
     row.objective = std::string(kernel->name());
 
-    // One solve-phase measurement: lazy (priority-queue) + sampled
-    // (stochastic) greedy through the kernel's partition gain engine,
-    // identical machinery on both sides — only the backend the state binds
-    // at construction differs. Pairwise keeps no incremental state: its
-    // engine is the closed form, which dispatches no vectorized op, so its
-    // row checks that forcing scalar leaves it unchanged.
+    // One solve-phase measurement: the kernel's partition solve (the lazy
+    // driver over its state, or pairwise's closed form), identical machinery
+    // on both sides — only the backend the state binds at construction
+    // differs. Pairwise keeps no incremental state: its engine is the closed
+    // form, which dispatches no vectorized op, so its row checks that
+    // forcing scalar leaves it unchanged.
     struct BackendRun {
       double lazy_ms = 0.0;
-      double sampled_ms = 0.0;
       core::GreedyResult lazy;
-      core::GreedyResult sampled;
     };
     const auto measure = [&](core::SubproblemArena& arena) {
       BackendRun run;
@@ -1404,10 +1382,6 @@ int run_simd_matrix(SimdMatrixConfig config) {
         Timer timer;
         run.lazy = core::greedy_on_subproblem(sub, k, *params, arena);
         run.lazy_ms = timer.elapsed_seconds() * 1e3;
-        timer.reset();
-        run.sampled = core::stochastic_greedy_on_subproblem(
-            sub, k, *params, kEpsilon, config.seed);
-        run.sampled_ms = timer.elapsed_seconds() * 1e3;
         return run;
       }
       const auto state = kernel->make_incremental_state(arena);
@@ -1417,11 +1391,6 @@ int run_simd_matrix(SimdMatrixConfig config) {
       state->reset(sub, nullptr);
       run.lazy = core::incremental_greedy_on_subproblem(sub, k, *state, arena);
       run.lazy_ms = timer.elapsed_seconds() * 1e3;
-      timer.reset();
-      state->reset(sub, nullptr, /*init_priorities=*/false);
-      run.sampled = core::stochastic_greedy_on_subproblem(
-          sub, k, *state, kEpsilon, config.seed, arena);
-      run.sampled_ms = timer.elapsed_seconds() * 1e3;
       return run;
     };
 
@@ -1437,22 +1406,16 @@ int run_simd_matrix(SimdMatrixConfig config) {
 
       row.identical = row.identical &&
                       scalar_run.lazy.selected == native_run.lazy.selected &&
-                      scalar_run.lazy.objective == native_run.lazy.objective &&
-                      scalar_run.sampled.selected == native_run.sampled.selected &&
-                      scalar_run.sampled.objective == native_run.sampled.objective;
+                      scalar_run.lazy.objective == native_run.lazy.objective;
       row.scalar_lazy_ms = std::min(row.scalar_lazy_ms, scalar_run.lazy_ms);
-      row.scalar_sampled_ms = std::min(row.scalar_sampled_ms, scalar_run.sampled_ms);
       row.native_lazy_ms = std::min(row.native_lazy_ms, native_run.lazy_ms);
-      row.native_sampled_ms = std::min(row.native_sampled_ms, native_run.sampled_ms);
-      std::printf("%-20s iter %zu: scalar %.0f+%.0f | %s %.0f+%.0f ms "
-                  "(lazy+sampled)\n",
+      std::printf("%-20s iter %zu: scalar %.0f | %s %.0f ms (lazy)\n",
                   row.objective.c_str(), iter, scalar_run.lazy_ms,
-                  scalar_run.sampled_ms, simd::active_backend_name(),
-                  native_run.lazy_ms, native_run.sampled_ms);
+                  simd::active_backend_name(), native_run.lazy_ms);
     }
     std::printf("%-20s solve %.1f -> %.1f ms = %.2fx vs forced scalar;"
                 " selections %s\n",
-                row.objective.c_str(), row.scalar_ms(), row.native_ms(),
+                row.objective.c_str(), row.scalar_lazy_ms, row.native_lazy_ms,
                 row.speedup_vs_scalar(), row.identical ? "identical" : "DIVERGED");
     if (!row.identical) status = 2;
     rows.push_back(std::move(row));
@@ -1473,9 +1436,7 @@ int run_simd_matrix(SimdMatrixConfig config) {
     json.begin_object();
     json.key("objective").value(row.objective);
     json.key("scalar_lazy_ms").value(row.scalar_lazy_ms);
-    json.key("scalar_sampled_ms").value(row.scalar_sampled_ms);
     json.key("native_lazy_ms").value(row.native_lazy_ms);
-    json.key("native_sampled_ms").value(row.native_sampled_ms);
     json.key("speedup_vs_scalar").value(row.speedup_vs_scalar());
     json.key("selections_identical").value(row.identical);
     json.end_object();

@@ -42,27 +42,22 @@ namespace subsel::api {
 
 using core::NodeId;
 
-/// Options for the multi-round distributed greedy and for the partition-based
-/// baselines (GreeDi reads num_machines; stochastic greedy reads
-/// stochastic_epsilon).
+/// Options for the multi-round distributed greedy (pipeline,
+/// distributed-greedy, dataflow) and for the partition-based baselines
+/// (GreeDi reads num_machines).
 struct DistributedOptions {
   std::size_t num_machines = 8;
   std::size_t num_rounds = 8;
   bool adaptive_partitioning = true;
-  core::PartitionSolver partition_solver = core::PartitionSolver::kPriorityQueue;
-  double stochastic_epsilon = 0.1;
-  /// Round checkpoint/resume file (empty disables); see distributed_greedy.h.
-  /// Checkpoints are crash-consistent: written to a temp file, fsynced, then
-  /// atomically renamed, so a kill mid-write leaves the previous one intact.
+  /// Round checkpoint file (empty disables); see distributed_greedy.h. A run
+  /// resumes from it when it holds a checkpoint of the same configuration,
+  /// and saves to it after every checkpoint_every-th round. Checkpoints are
+  /// crash-consistent: written to a temp file, fsynced, then atomically
+  /// renamed, so a kill mid-write leaves the previous one intact.
   std::string checkpoint_file;
   /// Save the checkpoint only every Nth round (1 = every round). Resume picks
   /// up from the last *saved* round; rounds after it are re-run.
   std::size_t checkpoint_every = 1;
-  /// Checkpoint to resume from. An alias for `checkpoint_file` for callers
-  /// that only restart: when `checkpoint_file` is empty this path is used for
-  /// both resume and subsequent saves; setting both to different paths is
-  /// rejected (the round loop reads and writes one file).
-  std::string resume_from;
   /// Graceful preemption after this many rounds of this invocation (0 = off).
   std::size_t stop_after_round = 0;
   /// Out-of-core pipelining: partitions of each round's plan handed to
@@ -88,8 +83,12 @@ struct DataflowOptions {
   std::size_t worker_memory_bytes = 0;
 };
 
-/// Options for the streaming/threshold baselines.
+/// Options for the ε-parameterized baselines: sieve-streaming,
+/// threshold-greedy and stochastic-greedy.
 struct StreamingOptions {
+  /// Accuracy knob in (0, 1): the sieve's (1+ε) threshold grid, threshold
+  /// greedy's (1−ε) sweep decay, and stochastic greedy's per-step sample of
+  /// (n/k)·ln(1/ε) candidates.
   double epsilon = 0.1;
   /// Apply the Appendix-A monotonicity offset (sieve-streaming only).
   bool monotonicity_offset = false;

@@ -14,14 +14,6 @@ const char* sampling_name(core::BoundingSampling sampling) {
   return "unknown";
 }
 
-const char* partition_solver_name(core::PartitionSolver solver) {
-  switch (solver) {
-    case core::PartitionSolver::kPriorityQueue: return "priority-queue";
-    case core::PartitionSolver::kStochastic: return "stochastic";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string SelectionReport::to_json() const {
@@ -126,12 +118,8 @@ std::string SelectionReport::to_json() const {
   json.key("num_machines").value(distributed_echo.num_machines);
   json.key("num_rounds").value(distributed_echo.num_rounds);
   json.key("adaptive_partitioning").value(distributed_echo.adaptive_partitioning);
-  json.key("partition_solver")
-      .value(partition_solver_name(distributed_echo.partition_solver));
-  json.key("stochastic_epsilon").value(distributed_echo.stochastic_epsilon);
   json.key("checkpoint_file").value(distributed_echo.checkpoint_file);
   json.key("checkpoint_every").value(distributed_echo.checkpoint_every);
-  json.key("resume_from").value(distributed_echo.resume_from);
   json.key("stop_after_round").value(distributed_echo.stop_after_round);
   json.key("prefetch_depth").value(distributed_echo.prefetch_depth);
   json.end_object();

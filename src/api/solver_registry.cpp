@@ -25,19 +25,6 @@ Deadline effective_deadline(const SelectionRequest& request,
                                  : context.deadline();
 }
 
-/// Resolves checkpoint_file vs resume_from (the latter is an alias; two
-/// different paths are a contradiction the round loop cannot honor).
-std::string effective_checkpoint_file(const DistributedOptions& options) {
-  if (!options.resume_from.empty() && !options.checkpoint_file.empty() &&
-      options.resume_from != options.checkpoint_file) {
-    throw std::invalid_argument(
-        "checkpoint_file and resume_from name different files; the round loop"
-        " resumes from and saves to one checkpoint — set just one of them");
-  }
-  return options.checkpoint_file.empty() ? options.resume_from
-                                         : options.checkpoint_file;
-}
-
 /// Maps the request's option blocks onto the core round-loop config and wires
 /// in the context's shared state (pool, arenas, cancellation, progress).
 core::DistributedGreedyConfig greedy_config(const SelectionRequest& request,
@@ -48,9 +35,7 @@ core::DistributedGreedyConfig greedy_config(const SelectionRequest& request,
   config.num_machines = request.distributed.num_machines;
   config.num_rounds = request.distributed.num_rounds;
   config.adaptive_partitioning = request.distributed.adaptive_partitioning;
-  config.partition_solver = request.distributed.partition_solver;
-  config.stochastic_epsilon = request.distributed.stochastic_epsilon;
-  config.checkpoint_file = effective_checkpoint_file(request.distributed);
+  config.checkpoint_file = request.distributed.checkpoint_file;
   config.checkpoint_every = request.distributed.checkpoint_every;
   config.stop_after_round = request.distributed.stop_after_round;
   config.prefetch_depth = request.distributed.prefetch_depth;
@@ -349,7 +334,7 @@ void register_builtins(SolverRegistry& registry) {
          const core::ConstraintSet* constraints) {
         return from_greedy_result(
             baselines::stochastic_greedy(kernel, request.resolved_k(),
-                                         request.distributed.stochastic_epsilon,
+                                         request.streaming.epsilon,
                                          request.seed,
                                          effective_deadline(request, context),
                                          constraints),
@@ -419,13 +404,6 @@ void register_builtins(SolverRegistry& registry) {
 
 std::string incompatibility_reason(const SolverCapabilities& solver,
                                    const core::ObjectiveKernelCaps& objective,
-                                   bool bounding_enabled) {
-  return incompatibility_reason(solver, objective, bounding_enabled,
-                                /*constrained=*/false);
-}
-
-std::string incompatibility_reason(const SolverCapabilities& solver,
-                                   const core::ObjectiveKernelCaps& objective,
                                    bool bounding_enabled, bool constrained) {
   if (solver.needs_distributed_scoring && !objective.distributed_scoring) {
     return "the solver scores f(S) with the Section 5 distributed joins,"
@@ -492,8 +470,6 @@ SelectionReport SolverRegistry::run(const SelectionRequest& request,
                                 "\" (known: " + known + ")");
   }
   const std::size_t k = request.resolved_k();  // validates request up front
-  core::validate_epsilon(request.distributed.stochastic_epsilon,
-                         "SelectionRequest.distributed.stochastic_epsilon");
   core::validate_epsilon(request.streaming.epsilon,
                          "SelectionRequest.streaming.epsilon");
 

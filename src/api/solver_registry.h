@@ -53,18 +53,12 @@ struct SolverCapabilities {
 };
 
 /// Why `solver` cannot run `objective` under `request` — empty string when
-/// the combination is valid. The single source of truth for request
-/// validation, `subsel objectives`' support matrix, and the bench objective
-/// matrix.
+/// the combination is valid. `constrained` = the request carries a non-empty
+/// ConstraintSet. The single source of truth for request validation,
+/// `subsel objectives`' support matrix, and the bench objective matrix.
 std::string incompatibility_reason(const SolverCapabilities& solver,
                                    const core::ObjectiveKernelCaps& objective,
-                                   bool bounding_enabled);
-/// As above, additionally validating a constrained request (`constrained` =
-/// the request carries a non-empty ConstraintSet). The 3-arg overload is the
-/// unconstrained special case.
-std::string incompatibility_reason(const SolverCapabilities& solver,
-                                   const core::ObjectiveKernelCaps& objective,
-                                   bool bounding_enabled, bool constrained);
+                                   bool bounding_enabled, bool constrained = false);
 
 struct SolverInfo {
   std::string name;

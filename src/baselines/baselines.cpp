@@ -88,11 +88,9 @@ GreeDiResult greedi(const ObjectiveKernel& kernel, std::size_t k,
   std::atomic<std::size_t> peak_state_bytes{0};
   pool_or_global(config.pool).parallel_for(m, [&](std::size_t p) {
     core::SubproblemArenaPool::Lease arena(arena_pool);
-    GreedyResult local = core::solve_partition(
-        kernel, partitions[p], k, nullptr, *arena,
-        core::PartitionSolver::kPriorityQueue,
-        /*stochastic_epsilon=*/0.1, config.seed, nullptr, nullptr,
-        config.constraints);
+    GreedyResult local = core::solve_partition(kernel, partitions[p], k, nullptr,
+                                               *arena, nullptr, nullptr,
+                                               config.constraints);
     atomic_fetch_max(peak_bytes, local.materialized_bytes);
     atomic_fetch_max(peak_state_bytes, local.kernel_state_bytes);
     partials[p] = std::move(local.selected);
@@ -110,10 +108,9 @@ GreeDiResult greedi(const ObjectiveKernel& kernel, std::size_t k,
   // The merge solve re-enforces the constraints from scratch over the union,
   // so per-partition selections that jointly over-commit a global budget are
   // rounded back down to a feasible final selection.
-  GreedyResult merged = core::solve_partition(
-      kernel, merge_input, k, nullptr, *merge_arena,
-      core::PartitionSolver::kPriorityQueue, /*stochastic_epsilon=*/0.1,
-      config.seed, &result.merge_bytes, nullptr, config.constraints);
+  GreedyResult merged =
+      core::solve_partition(kernel, merge_input, k, nullptr, *merge_arena,
+                            &result.merge_bytes, nullptr, config.constraints);
   atomic_fetch_max(peak_bytes, merged.materialized_bytes);
   atomic_fetch_max(peak_state_bytes, merged.kernel_state_bytes);
   result.peak_partition_bytes = peak_bytes.load();

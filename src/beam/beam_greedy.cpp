@@ -41,6 +41,10 @@ core::DistributedGreedyResult beam_distributed_greedy(
     throw std::invalid_argument(
         "beam_distributed_greedy: machines and rounds must be >= 1");
   }
+  if (!std::isfinite(config.delta_gamma) || config.delta_gamma <= 0.0) {
+    throw std::invalid_argument(
+        "beam_distributed_greedy: delta_gamma must be finite and > 0");
+  }
   const std::size_t n = kernel.ground_set().num_points();
   k = std::min(k, n);
 
@@ -102,7 +106,8 @@ core::DistributedGreedyResult beam_distributed_greedy(
       stats.round = round;
       stats.input_size = dataflow::count(survivors);
 
-      std::size_t n_round = config.delta(v0, config.num_rounds, round, k_open);
+      std::size_t n_round = core::linear_delta(v0, config.num_rounds, round, k_open,
+                                               config.delta_gamma);
       // Not std::clamp: a constrained round can leave fewer survivors than
       // k_open (hi < lo, which clamp forbids); the survivor count then wins.
       n_round = std::min(std::max(n_round, k_open), stats.input_size);
@@ -129,19 +134,16 @@ core::DistributedGreedyResult beam_distributed_greedy(
       auto partitions = dataflow::group_by_key(keyed);
 
       const std::size_t per_partition_target = (n_round + m_round - 1) / m_round;
-      const auto solver = config.partition_solver;
-      const double stochastic_epsilon = config.stochastic_epsilon;
       std::atomic<std::size_t> peak_bytes{0};
       std::atomic<std::size_t> peak_state_bytes{0};
       survivors = dataflow::flat_map<NodeId>(
-          partitions, [&peak_bytes, &peak_state_bytes, initial, &kernel, solver,
-                       stochastic_epsilon, seed, round, per_partition_target,
-                       &pipeline, &arena_pool](const auto& row, auto emit) {
+          partitions, [&peak_bytes, &peak_state_bytes, initial, &kernel,
+                       per_partition_target, &pipeline,
+                       &arena_pool](const auto& row, auto emit) {
             core::SubproblemArenaPool::Lease arena(arena_pool);
             core::GreedyResult local = core::solve_partition(
                 kernel, std::span<const NodeId>(row.second), per_partition_target,
-                initial, *arena, solver, stochastic_epsilon,
-                hash_combine(seed, 0x9e37ULL * round + row.first));
+                initial, *arena);
             // The worker's working set: the subproblem CSR plus any flat
             // kernel state behind it.
             pipeline.charge_shard_bytes(local.materialized_bytes +

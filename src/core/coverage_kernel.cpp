@@ -55,26 +55,17 @@ class SaturatedCoverageIncrementalState final : public KernelIncrementalState {
 
   void reset(Subproblem& sub, const SelectionState* state,
              bool init_priorities) override {
-    // Weights, premultiplied self terms, and the SoA columns depend only on
-    // the topology and ground-set utilities; repeated resets against the same
-    // materialization skip the O(edges) rebuild (see the facility-location
-    // state for the caching contract).
-    const bool layout_cached =
-        sub_ == &sub && cached_epoch_ == sub.topology_epoch;
     sub_ = &sub;
-    cached_epoch_ = sub.topology_epoch;
     const std::size_t n = sub.size();
     resid_.resize(n);
-    if (!layout_cached) {
-      pself_.resize(n);
-      weight_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double w = params_.utility_weighted
-                             ? ground_set_->utility(sub.global_ids[i])
-                             : 1.0;
-        weight_[i] = w;
-        pself_[i] = w * params_.self_similarity;
-      }
+    pself_.resize(n);
+    weight_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = params_.utility_weighted
+                           ? ground_set_->utility(sub.global_ids[i])
+                           : 1.0;
+      weight_[i] = w;
+      pself_[i] = w * params_.self_similarity;
     }
     std::vector<graph::Edge>& scratch = arena_->edge_scratch();
     for (std::size_t i = 0; i < n; ++i) {
@@ -90,18 +81,16 @@ class SaturatedCoverageIncrementalState final : public KernelIncrementalState {
       }
       resid_[i] = resid;
     }
-    if (!layout_cached) {
-      // SoA edge pass (see FacilityLocationIncrementalState): neighbor column
-      // + premultiplied-weight column for the vectorized gain loops.
-      const std::size_t num_edges = sub.edges.size();
-      nbr_.resize(num_edges);
-      pw_.resize(num_edges);
-      const Subproblem::LocalEdge* edges = sub.edges.data();
-      for (std::size_t e = 0; e < num_edges; ++e) {
-        const std::uint32_t u = edges[e].neighbor;
-        nbr_[e] = u;
-        pw_[e] = weight_[u] * static_cast<double>(edges[e].weight);
-      }
+    // SoA edge pass (see FacilityLocationIncrementalState): neighbor column
+    // + premultiplied-weight column for the vectorized gain loops.
+    const std::size_t num_edges = sub.edges.size();
+    nbr_.resize(num_edges);
+    pw_.resize(num_edges);
+    const Subproblem::LocalEdge* edges = sub.edges.data();
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      const std::uint32_t u = edges[e].neighbor;
+      nbr_[e] = u;
+      pw_[e] = weight_[u] * static_cast<double>(edges[e].weight);
     }
     if (init_priorities) {
       sub.priorities.resize(n);
@@ -158,7 +147,6 @@ class SaturatedCoverageIncrementalState final : public KernelIncrementalState {
   SubproblemArena* arena_;
   const ksimd::KernelSimdOps* ops_;
   const Subproblem* sub_ = nullptr;
-  std::uint64_t cached_epoch_ = 0;  // topology_epoch the layouts were built at
   std::vector<double>& resid_;   // premultiplied residual capacity per member
   std::vector<double>& pself_;   // fl(weight · self_similarity) per member
   std::vector<double>& weight_;

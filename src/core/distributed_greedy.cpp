@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
@@ -44,9 +45,8 @@ std::vector<std::vector<NodeId>> split_balanced(const std::vector<NodeId>& ids,
 }
 
 /// Run-identity key a checkpoint must match to be resumable: everything
-/// that shapes the round trajectory except the Δ schedule (std::function is
-/// not hashable; keeping it consistent is the caller's contract, as with
-/// the ground set itself).
+/// that shapes the round trajectory (keeping the ground set itself the same
+/// is the caller's contract).
 std::uint64_t run_fingerprint(std::size_t n, std::size_t v0, std::size_t k_open,
                               const DistributedGreedyConfig& config,
                               const ObjectiveKernel& kernel) {
@@ -59,8 +59,7 @@ std::uint64_t run_fingerprint(std::size_t n, std::size_t v0, std::size_t k_open,
   mix(config.num_rounds);
   mix(config.adaptive_partitioning ? 1 : 0);
   mix(config.seed);
-  mix(static_cast<std::uint64_t>(config.partition_solver));
-  mix(static_cast<std::uint64_t>(config.stochastic_epsilon * 1e9));
+  mix(std::bit_cast<std::uint64_t>(config.delta_gamma));
   // The objective's full identity — name AND parameters: a checkpoint
   // written under one objective configuration must never resume a run under
   // another (rounds selected under different objectives would be silently
@@ -134,15 +133,16 @@ std::size_t load_checkpoint(const std::string& path, std::uint64_t fingerprint,
 
 }  // namespace
 
-DeltaSchedule linear_delta(double gamma) {
-  if (gamma <= 0.0) throw std::invalid_argument("linear_delta: gamma must be > 0");
-  return [gamma](std::size_t v0, std::size_t rounds, std::size_t round,
-                 std::size_t k) -> std::size_t {
-    if (v0 <= k) return k;
-    const double remaining = static_cast<double>(rounds - round);
-    const double span = static_cast<double>(v0 - k) / static_cast<double>(rounds);
-    return static_cast<std::size_t>(std::ceil(gamma * remaining * span)) + k;
-  };
+std::size_t linear_delta(std::size_t v0, std::size_t rounds, std::size_t round,
+                         std::size_t k, double gamma) {
+  if (v0 <= k) return k;
+  const double remaining = static_cast<double>(rounds - round);
+  const double span = static_cast<double>(v0 - k) / static_cast<double>(rounds);
+  // Capped at |V| before the cast: a γ > 1 asks for more than the data, and a
+  // large enough one would not fit in size_t.
+  const double target = std::min(std::ceil(gamma * remaining * span),
+                                  static_cast<double>(v0 - k));
+  return static_cast<std::size_t>(target) + k;
 }
 
 DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::size_t k,
@@ -150,6 +150,10 @@ DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::s
                                            const SelectionState* initial) {
   if (config.num_machines == 0 || config.num_rounds == 0) {
     throw std::invalid_argument("distributed_greedy: machines and rounds must be >= 1");
+  }
+  if (!std::isfinite(config.delta_gamma) || config.delta_gamma <= 0.0) {
+    throw std::invalid_argument(
+        "distributed_greedy: delta_gamma must be finite and > 0");
   }
   const GroundSet& ground_set = kernel.ground_set();
   const std::size_t n = ground_set.num_points();
@@ -227,7 +231,8 @@ DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::s
       stats.round = round;
       stats.input_size = survivors.size();
 
-      std::size_t n_round = config.delta(v0, config.num_rounds, round, k_open);
+      std::size_t n_round =
+          linear_delta(v0, config.num_rounds, round, k_open, config.delta_gamma);
       // Not std::clamp: a constrained round can leave fewer survivors than
       // k_open (hi < lo, which clamp forbids); the survivor count then wins.
       n_round = std::min(std::max(n_round, k_open), survivors.size());
@@ -299,11 +304,9 @@ DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::s
       std::atomic<std::size_t> peak_state_bytes{0};
       workers.parallel_for(partitions.size(), [&](std::size_t p) {
         SubproblemArenaPool::Lease arena(arena_pool);
-        GreedyResult local = solve_partition(
-            kernel, partitions[p], per_partition_target, initial, *arena,
-            config.partition_solver, config.stochastic_epsilon,
-            hash_combine(config.seed, 0x9e37ULL * round + p), nullptr, nullptr,
-            config.constraints);
+        GreedyResult local =
+            solve_partition(kernel, partitions[p], per_partition_target, initial,
+                            *arena, nullptr, nullptr, config.constraints);
         atomic_fetch_max(peak_bytes, local.materialized_bytes);
         atomic_fetch_max(peak_state_bytes, local.kernel_state_bytes);
         partition_results[p] = std::move(local.selected);
@@ -357,11 +360,9 @@ DistributedGreedyResult distributed_greedy(const ObjectiveKernel& kernel, std::s
       // replaces the uniform rounding subsample and may return fewer than
       // k_open points when no feasible candidate remains.
       SubproblemArenaPool::Lease arena(arena_pool);
-      GreedyResult final_solve = solve_partition(
-          kernel, survivors, k_open, initial, *arena,
-          PartitionSolver::kPriorityQueue, config.stochastic_epsilon,
-          hash_combine(config.seed, config.num_rounds + 1), nullptr, nullptr,
-          config.constraints);
+      GreedyResult final_solve =
+          solve_partition(kernel, survivors, k_open, initial, *arena, nullptr,
+                          nullptr, config.constraints);
       survivors = std::move(final_solve.selected);
     }
   } else {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,14 +29,14 @@
 
 namespace subsel::core {
 
-/// Round-size schedule Δ(|V|, r, round, k). Must satisfy Δ(·, r, r, k) = k.
-using DeltaSchedule =
-    std::function<std::size_t(std::size_t v0, std::size_t rounds, std::size_t round,
-                              std::size_t k)>;
-
-/// The paper's linear interpolation: Δ = ⌈γ·(r−round)·(|V|−k)/r⌉ + k
-/// (Section 6.1, γ = 0.75; Appendix E ablates γ).
-DeltaSchedule linear_delta(double gamma = 0.75);
+/// The round-size schedule Δ(|V|, r, round, k): the paper's linear
+/// interpolation Δ = min(⌈γ·(r−round)·(|V|−k)/r⌉ + k, |V|) (Section 6.1,
+/// γ = 0.75; Appendix E ablates γ). Δ(·, r, r, k) = k, so the last round
+/// targets k.
+/// Requires a finite γ > 0, which distributed_greedy and
+/// beam_distributed_greedy check before any round runs.
+std::size_t linear_delta(std::size_t v0, std::size_t rounds, std::size_t round,
+                         std::size_t k, double gamma = 0.75);
 
 /// Everything about a run except the objective, which is the kernel
 /// distributed_greedy is given.
@@ -47,11 +46,9 @@ struct DistributedGreedyConfig {
   /// r — rounds of partition/select/union.
   std::size_t num_rounds = 1;
   bool adaptive_partitioning = true;
-  DeltaSchedule delta = linear_delta();
+  /// γ of the linear_delta round-size schedule; must be finite and > 0.
+  double delta_gamma = 0.75;
   std::uint64_t seed = 23;
-  PartitionSolver partition_solver = PartitionSolver::kPriorityQueue;
-  /// Sampling parameter for PartitionSolver::kStochastic.
-  double stochastic_epsilon = 0.1;
   /// Out-of-core pipelining: at the start of every round, the first
   /// `prefetch_depth` partitions of the round's plan are handed to
   /// GroundSet::prefetch as asynchronous page-in hints on the worker pool,

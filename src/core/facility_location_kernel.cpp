@@ -54,27 +54,18 @@ class FacilityLocationIncrementalState final : public KernelIncrementalState {
 
   void reset(Subproblem& sub, const SelectionState* state,
              bool init_priorities) override {
-    // The derived layouts (weights, premultiplied self terms, SoA columns)
-    // depend only on the topology and the ground-set utilities, so repeated
-    // resets against the same materialization — stochastic restarts, the
-    // lazy/sampled pairs the harnesses run — skip the O(edges) rebuild.
-    const bool layout_cached =
-        sub_ == &sub && cached_epoch_ == sub.topology_epoch;
     sub_ = &sub;
-    cached_epoch_ = sub.topology_epoch;
     const std::size_t n = sub.size();
     wcover_.assign(n, 0.0);
     wcover2_.assign(n, 0.0);
-    if (!layout_cached) {
-      pself_.resize(n);
-      weight_.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double w = params_.utility_weighted
-                             ? ground_set_->utility(sub.global_ids[i])
-                             : 1.0;
-        weight_[i] = w;
-        pself_[i] = w * params_.self_similarity;
-      }
+    pself_.resize(n);
+    weight_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = params_.utility_weighted
+                           ? ground_set_->utility(sub.global_ids[i])
+                           : 1.0;
+      weight_[i] = w;
+      pself_[i] = w * params_.self_similarity;
     }
     if (state != nullptr) {
       std::vector<graph::Edge>& scratch = arena_->edge_scratch();
@@ -97,19 +88,17 @@ class FacilityLocationIncrementalState final : public KernelIncrementalState {
         wcover2_[i] = second;
       }
     }
-    if (!layout_cached) {
-      // SoA edge pass: split the CSR's array-of-structs into a contiguous
-      // neighbor column and a premultiplied-weight column — the layout the
-      // vectorized gain loops load with one gather + one contiguous load.
-      const std::size_t num_edges = sub.edges.size();
-      nbr_.resize(num_edges);
-      pw_.resize(num_edges);
-      const Subproblem::LocalEdge* edges = sub.edges.data();
-      for (std::size_t e = 0; e < num_edges; ++e) {
-        const std::uint32_t u = edges[e].neighbor;
-        nbr_[e] = u;
-        pw_[e] = weight_[u] * static_cast<double>(edges[e].weight);
-      }
+    // SoA edge pass: split the CSR's array-of-structs into a contiguous
+    // neighbor column and a premultiplied-weight column — the layout the
+    // vectorized gain loops load with one gather + one contiguous load.
+    const std::size_t num_edges = sub.edges.size();
+    nbr_.resize(num_edges);
+    pw_.resize(num_edges);
+    const Subproblem::LocalEdge* edges = sub.edges.data();
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      const std::uint32_t u = edges[e].neighbor;
+      nbr_[e] = u;
+      pw_[e] = weight_[u] * static_cast<double>(edges[e].weight);
     }
     if (init_priorities) {
       sub.priorities.resize(n);
@@ -178,7 +167,6 @@ class FacilityLocationIncrementalState final : public KernelIncrementalState {
   SubproblemArena* arena_;
   const ksimd::KernelSimdOps* ops_;
   const Subproblem* sub_ = nullptr;
-  std::uint64_t cached_epoch_ = 0;  // topology_epoch the layouts were built at
   std::vector<double>& wcover_;   // best premultiplied similarity per member
   std::vector<double>& wcover2_;  // second best (O(deg) removal/swap support)
   std::vector<double>& pself_;    // fl(weight · self_similarity) per member

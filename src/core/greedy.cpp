@@ -1,12 +1,10 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "common/rng.h"
 #include "core/addressable_heap.h"
 
 namespace subsel::core {
@@ -75,7 +73,6 @@ const Subproblem& materialize_subproblem(const GroundSet& ground_set,
     sub.priorities[i] = priority;
     sub.offsets[i + 1] = static_cast<std::int64_t>(sub.edges.size());
   }
-  ++sub.topology_epoch;
   return sub;
 }
 
@@ -123,7 +120,6 @@ Subproblem& materialize_subproblem_topology(const GroundSet& ground_set,
     }
     sub.offsets[i + 1] = static_cast<std::int64_t>(sub.edges.size());
   }
-  ++sub.topology_epoch;
   return sub;
 }
 
@@ -228,70 +224,9 @@ GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
   return result;
 }
 
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k,
-                                             KernelIncrementalState& state,
-                                             double epsilon, std::uint64_t seed,
-                                             SubproblemArena& arena,
-                                             ConstraintTracker* tracker) {
-  const std::size_t n = subproblem.size();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-  if (k == 0) return result;
-  validate_epsilon(epsilon, "stochastic_greedy_on_subproblem");
-
-  // Same Rng stream as the pairwise overload; the sample's gains come from
-  // one gains_batch call per step.
-  std::vector<std::uint32_t> live(n);
-  for (std::uint32_t i = 0; i < n; ++i) live[i] = i;
-  const std::size_t sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) /
-                                            static_cast<double>(k) *
-                                            std::log(1.0 / epsilon))));
-  std::vector<double>& gains = arena.gain_scratch();
-  Rng rng(seed);
-  while (result.selected.size() < k) {
-    if (tracker != nullptr) {
-      // Sampled steps must never pick an infeasible best-of-sample, so the
-      // live set is compacted to feasible candidates before each draw.
-      std::erase_if(live, [&](std::uint32_t v) {
-        return !tracker->feasible(subproblem.global_ids[v]);
-      });
-      if (live.empty()) break;
-    }
-    const std::size_t live_count = live.size();
-    const std::size_t draw = std::min(sample_size, live_count);
-    for (std::size_t i = 0; i < draw; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng.uniform_index(live_count - i));
-      std::swap(live[i], live[j]);
-    }
-    gains.resize(draw);
-    state.gains_batch(std::span<const std::uint32_t>(live.data(), draw), gains);
-    std::size_t best_slot = 0;
-    for (std::size_t i = 1; i < draw; ++i) {
-      if (gains[i] > gains[best_slot] ||
-          (gains[i] == gains[best_slot] && live[i] < live[best_slot])) {
-        best_slot = i;
-      }
-    }
-    const std::uint32_t v1 = live[best_slot];
-    result.objective += gains[best_slot];
-    result.selected.push_back(subproblem.global_ids[v1]);
-    if (tracker != nullptr) tracker->accept(subproblem.global_ids[v1]);
-    state.select(v1);
-    live[best_slot] = live.back();
-    live.pop_back();
-  }
-  return result;
-}
-
 GreedyResult solve_partition(const ObjectiveKernel& kernel,
                              std::span<const NodeId> members, std::size_t k,
                              const SelectionState* state, SubproblemArena& arena,
-                             PartitionSolver partition_solver,
-                             double stochastic_epsilon, std::uint64_t seed,
                              std::size_t* materialized_bytes,
                              std::size_t* state_bytes,
                              const ConstraintSet* constraints) {
@@ -319,114 +254,16 @@ GreedyResult solve_partition(const ObjectiveKernel& kernel,
     // Closed-form path: priorities are the marginal gains.
     const Subproblem& sub =
         materialize_subproblem(ground_set, members, *params, state, arena);
-    return finish(
-        partition_solver == PartitionSolver::kStochastic
-            ? stochastic_greedy_on_subproblem(sub, k, *params, stochastic_epsilon,
-                                              seed, tracker_ptr)
-            : greedy_on_subproblem(sub, k, *params, arena, tracker_ptr),
-        sub.byte_size(), 0);
+    return finish(greedy_on_subproblem(sub, k, *params, arena, tracker_ptr),
+                  sub.byte_size(), 0);
   }
   Subproblem& sub = materialize_subproblem_topology(ground_set, members, arena);
   const std::unique_ptr<KernelIncrementalState> incremental =
       kernel.make_incremental_state(arena);
-  // The sampled driver evaluates strictly through gains_batch, so the
-  // O(n·deg) initial-priority pass is skipped for it.
-  const bool sampled = partition_solver == PartitionSolver::kStochastic;
-  incremental->reset(sub, state, /*init_priorities=*/!sampled);
-  return finish(sampled ? stochastic_greedy_on_subproblem(sub, k, *incremental,
-                                                          stochastic_epsilon, seed,
-                                                          arena, tracker_ptr)
-                        : incremental_greedy_on_subproblem(sub, k, *incremental,
-                                                           arena, tracker_ptr),
-                sub.byte_size(), incremental->state_bytes());
-}
-
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k, ObjectiveParams params,
-                                             double epsilon, std::uint64_t seed,
-                                             ConstraintTracker* tracker) {
-  const std::size_t n = subproblem.size();
-  k = std::min(k, n);
-  GreedyResult result;
-  result.selected.reserve(k);
-  if (k == 0) return result;
-  validate_epsilon(epsilon, "stochastic_greedy_on_subproblem");
-
-  // Priorities double as marginal gains (pairwise structure); no heap — each
-  // step scans only the sampled candidates.
-  std::vector<double> priorities = subproblem.priorities;
-  std::vector<std::uint32_t> live(n);
-  std::vector<std::uint32_t> slot_of(n);  // live-array position per local id
-  for (std::uint32_t i = 0; i < n; ++i) {
-    live[i] = i;
-    slot_of[i] = i;
-  }
-
-  const std::size_t sample_size = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(n) /
-                                            static_cast<double>(k) *
-                                            std::log(1.0 / epsilon))));
-  Rng rng(seed);
-  const double pair_scale = params.pair_scale();
-  double priority_sum = 0.0;
-
-  while (result.selected.size() < k) {
-    if (tracker != nullptr) {
-      // Compact the live set to feasible candidates before drawing, keeping
-      // slot_of consistent for the edge-update loop below.
-      std::erase_if(live, [&](std::uint32_t v) {
-        const bool drop = !tracker->feasible(subproblem.global_ids[v]);
-        if (drop) slot_of[v] = static_cast<std::uint32_t>(-1);
-        return drop;
-      });
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        slot_of[live[i]] = static_cast<std::uint32_t>(i);
-      }
-      if (live.empty()) break;
-    }
-    const std::size_t live_count = live.size();
-    const std::size_t draw = std::min(sample_size, live_count);
-    // Partial Fisher-Yates over the live array; slots [0, draw) become the
-    // sample.
-    for (std::size_t i = 0; i < draw; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng.uniform_index(live_count - i));
-      std::swap(live[i], live[j]);
-      slot_of[live[i]] = static_cast<std::uint32_t>(i);
-      slot_of[live[j]] = static_cast<std::uint32_t>(j);
-    }
-    std::size_t best_slot = 0;
-    for (std::size_t i = 1; i < draw; ++i) {
-      const std::uint32_t candidate = live[i];
-      const std::uint32_t incumbent = live[best_slot];
-      if (priorities[candidate] > priorities[incumbent] ||
-          (priorities[candidate] == priorities[incumbent] &&
-           candidate < incumbent)) {
-        best_slot = i;
-      }
-    }
-    const std::uint32_t v1 = live[best_slot];
-    priority_sum += priorities[v1];
-    result.selected.push_back(subproblem.global_ids[v1]);
-    if (tracker != nullptr) tracker->accept(subproblem.global_ids[v1]);
-
-    // Remove v1 from the live set (swap-pop, positions maintained).
-    live[best_slot] = live.back();
-    slot_of[live[best_slot]] = static_cast<std::uint32_t>(best_slot);
-    live.pop_back();
-    slot_of[v1] = static_cast<std::uint32_t>(-1);
-
-    const auto begin = static_cast<std::size_t>(subproblem.offsets[v1]);
-    const auto end = static_cast<std::size_t>(subproblem.offsets[v1 + 1]);
-    for (std::size_t e = begin; e < end; ++e) {
-      const auto& edge = subproblem.edges[e];
-      if (slot_of[edge.neighbor] != static_cast<std::uint32_t>(-1)) {
-        priorities[edge.neighbor] -= pair_scale * edge.weight;
-      }
-    }
-  }
-  result.objective = params.alpha * priority_sum;
-  return result;
+  incremental->reset(sub, state);
+  return finish(
+      incremental_greedy_on_subproblem(sub, k, *incremental, arena, tracker_ptr),
+      sub.byte_size(), incremental->state_bytes());
 }
 
 GreedyResult centralized_greedy(const graph::SimilarityGraph& graph,

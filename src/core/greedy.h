@@ -28,15 +28,6 @@
 
 namespace subsel::core {
 
-/// Centralized algorithm run inside each partition. The paper's default is
-/// the priority-queue Algorithm 2; stochastic greedy trades a (1-1/e-eps)
-/// expected guarantee for O(n log(1/eps)) gain evaluations per partition
-/// ("any centralized version of the algorithm" — Section 3).
-enum class PartitionSolver : std::uint8_t {
-  kPriorityQueue = 0,
-  kStochastic = 1,
-};
-
 struct GreedyResult {
   /// Selected ids in pick order (global ids).
   std::vector<NodeId> selected;
@@ -58,8 +49,8 @@ struct GreedyResult {
 };
 
 /// Throws std::invalid_argument naming `who` unless `epsilon` lies in (0, 1)
-/// (NaN included). ε is the accuracy knob of every sampled and threshold
-/// solver; 0 or 1 would hang them or turn their sample size into UB.
+/// (NaN included). ε is the accuracy knob of the sampled and threshold
+/// baselines; 0 or 1 would hang them or turn their sample size into UB.
 void validate_epsilon(double epsilon, const char* who);
 
 /// Materializes the subproblem induced by `members` (any order; sorted
@@ -95,17 +86,6 @@ GreedyResult greedy_on_subproblem(const Subproblem& subproblem, std::size_t k,
                                   ObjectiveParams params, SubproblemArena& arena,
                                   ConstraintTracker* tracker = nullptr);
 
-/// Stochastic greedy (Mirzasoleiman et al. 2015) on a subproblem: each step
-/// examines a uniform sample of ceil(n/k * ln(1/eps)) live candidates
-/// instead of all of them, exploiting the same pairwise priority structure
-/// as Algorithm 2 (priorities == marginal gains, updated on neighbor pops).
-/// (1 - 1/e - eps) in expectation; the paper notes any centralized variant
-/// can run inside a partition (Section 3, "Related optimizations").
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k, ObjectiveParams params,
-                                             double epsilon, std::uint64_t seed,
-                                             ConstraintTracker* tracker = nullptr);
-
 /// Topology-only arena materialization for the incremental-state path: global
 /// ids + member-restricted CSR, with `priorities` sized but left for the
 /// kernel's KernelIncrementalState to fill (KernelIncrementalState::reset).
@@ -135,27 +115,19 @@ GreedyResult incremental_greedy_on_subproblem(const Subproblem& subproblem,
 /// Candidates the batched lazy driver re-evaluates per gains_batch call.
 inline constexpr std::size_t kGainRefreshBatch = 32;
 
-/// Stochastic greedy over incremental state: each step scans a uniform
-/// sample of ceil(n/k·ln(1/eps)) live candidates, evaluated with one
-/// gains_batch call. Same Rng stream as the pairwise overload, so kernels
-/// differ only in scoring.
-GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
-                                             std::size_t k,
-                                             KernelIncrementalState& state,
-                                             double epsilon, std::uint64_t seed,
-                                             SubproblemArena& arena,
-                                             ConstraintTracker* tracker = nullptr);
-
 /// The one partition-solve entry point the round loops (distributed greedy,
 /// GreeDi, beam) call: materializes `members` of kernel.ground_set() and
-/// selects min(k, size) points under `kernel`. Pairwise-family kernels
-/// (pairwise_params() != nullptr) take the closed-form arena path; other
-/// kernels run the batched incremental-state driver. Incremental states bind the vectorized backend
-/// active when the call starts, so a simd::ScopedBackendOverride around it
-/// pins the whole solve to one backend. `materialized_bytes`/`state_bytes`,
-/// when non-null, receive the subproblem's byte size and the flat
-/// kernel-state byte size (the round-stats memory numbers; both are also set
-/// on the returned GreedyResult).
+/// runs the centralized greedy of Algorithm 6's partitions on them,
+/// selecting min(k, size) points under `kernel`. Pairwise-family kernels
+/// (pairwise_params() != nullptr) run Algorithm 2's closed form
+/// (greedy_on_subproblem); every other kernel runs the batched lazy driver
+/// over its incremental state (incremental_greedy_on_subproblem).
+/// Incremental states bind the vectorized backend active when the call
+/// starts, so a simd::ScopedBackendOverride around it pins the whole solve to
+/// one backend. `materialized_bytes`/`state_bytes`, when non-null, receive
+/// the subproblem's byte size and the flat kernel-state byte size (the
+/// round-stats memory numbers; both are also set on the returned
+/// GreedyResult).
 ///
 /// `constraints` (global-id space, validated) activates constrained
 /// acceptance in whichever driver runs: a fresh ConstraintTracker is seeded
@@ -166,8 +138,6 @@ GreedyResult stochastic_greedy_on_subproblem(const Subproblem& subproblem,
 GreedyResult solve_partition(const ObjectiveKernel& kernel,
                              std::span<const NodeId> members, std::size_t k,
                              const SelectionState* state, SubproblemArena& arena,
-                             PartitionSolver partition_solver,
-                             double stochastic_epsilon, std::uint64_t seed,
                              std::size_t* materialized_bytes = nullptr,
                              std::size_t* state_bytes = nullptr,
                              const ConstraintSet* constraints = nullptr);

@@ -99,9 +99,8 @@ class KernelIncrementalState {
   /// `init_priorities` is set, writes the initial marginal gains
   /// (conditioned on the globally selected points of `state` when given)
   /// into `sub.priorities`. Callers that never read the priority vector —
-  /// the sampled drivers and the full-ground-set baseline engine evaluate
-  /// strictly through gain()/gains_batch() — pass false and skip that whole
-  /// O(n·deg) pass.
+  /// the full-ground-set baseline engine evaluates strictly through
+  /// gain()/gains_batch() — pass false and skip that whole O(n·deg) pass.
   virtual void reset(Subproblem& sub, const SelectionState* state,
                      bool init_priorities = true) = 0;
 

@@ -52,12 +52,6 @@ struct Subproblem {
     float weight;
   };
   std::vector<LocalEdge> edges;
-  /// Bumped whenever global_ids/offsets/edges are rebuilt (materialize does
-  /// this). Incremental states key their cached derived layouts (SoA columns,
-  /// premultiplied weights) on (subproblem address, epoch), so repeated
-  /// resets against the same materialization skip the O(edges) rebuild.
-  /// Callers that mutate the topology by hand must bump it themselves.
-  std::uint64_t topology_epoch = 0;
 
   std::size_t size() const noexcept { return global_ids.size(); }
   std::size_t byte_size() const noexcept {

@@ -15,6 +15,32 @@ namespace {
 /// Shared with the dataset cache: bump when the layout changes.
 constexpr std::uint64_t kDatasetIoMagic = 0x53554253454C3144ULL;  // "SUBSEL1D"
 
+/// Fills `dataset`'s payload from a save_dataset file at `path` (the name is
+/// left alone). Throws std::runtime_error naming the check that failed; the
+/// graph loader's messages also name the ".graph" file.
+void read_dataset(const std::string& path, Dataset& dataset) {
+  BinaryReader reader(path);
+  if (reader.read_pod<std::uint64_t>() != kDatasetIoMagic) {
+    throw std::runtime_error("bad magic (not a dataset, or another version)");
+  }
+  const auto rows = reader.read_pod<std::uint64_t>();
+  const auto dim = reader.read_pod<std::uint64_t>();
+  dataset.embeddings = graph::EmbeddingMatrix(rows, dim);
+  const auto flat = reader.read_vector<float>();
+  if (flat.size() != rows * dim) {
+    throw std::runtime_error("embedding payload is not rows x dim");
+  }
+  std::copy(flat.begin(), flat.end(), dataset.embeddings.flat().begin());
+  dataset.labels = reader.read_vector<std::uint32_t>();
+  dataset.utilities = reader.read_vector<double>();
+  dataset.graph = graph::SimilarityGraph::load(path + ".graph");
+  if (dataset.graph.num_nodes() != dataset.labels.size() ||
+      dataset.utilities.size() != dataset.labels.size()) {
+    throw std::runtime_error(
+        "graph, labels and utilities disagree on the point count");
+  }
+}
+
 }  // namespace
 
 void save_dataset(const Dataset& dataset, const std::string& path) {
@@ -36,35 +62,22 @@ void save_dataset(const Dataset& dataset, const std::string& path) {
 }
 
 bool try_load_dataset(const std::string& path, Dataset& dataset) {
-  if (path.empty() || !std::filesystem::exists(path)) return false;
   try {
-    BinaryReader reader(path);
-    if (reader.read_pod<std::uint64_t>() != kDatasetIoMagic) return false;
-    const auto rows = reader.read_pod<std::uint64_t>();
-    const auto dim = reader.read_pod<std::uint64_t>();
-    dataset.embeddings = graph::EmbeddingMatrix(rows, dim);
-    const auto flat = reader.read_vector<float>();
-    if (flat.size() != rows * dim) return false;
-    std::copy(flat.begin(), flat.end(), dataset.embeddings.flat().begin());
-    dataset.labels = reader.read_vector<std::uint32_t>();
-    dataset.utilities = reader.read_vector<double>();
-    dataset.graph = graph::SimilarityGraph::load(path + ".graph");
+    read_dataset(path, dataset);
   } catch (const std::exception&) {
     return false;
   }
-  return dataset.graph.num_nodes() == dataset.labels.size() &&
-         dataset.utilities.size() == dataset.labels.size();
+  return true;
 }
 
 Dataset load_dataset(const std::string& path) {
   Dataset dataset;
-  if (!try_load_dataset(path, dataset)) {
-    throw std::runtime_error("load_dataset: cannot load " + path +
-                             " (missing, corrupt, or wrong version)");
+  try {
+    read_dataset(path, dataset);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("load_dataset: cannot load " + path + ": " + e.what());
   }
-  if (dataset.name.empty()) {
-    dataset.name = std::filesystem::path(path).stem().string();
-  }
+  dataset.name = std::filesystem::path(path).stem().string();
   return dataset;
 }
 

@@ -22,7 +22,9 @@ void save_dataset(const Dataset& dataset, const std::string& path);
 /// returns false instead of throwing (used by the dataset cache).
 bool try_load_dataset(const std::string& path, Dataset& dataset);
 
-/// Loading variant that throws std::runtime_error with a reason.
+/// Loading variant that throws std::runtime_error naming the check that
+/// failed (missing file, bad magic, a size mismatch, or the graph loader's
+/// own reason, e.g. "self loop").
 Dataset load_dataset(const std::string& path);
 
 /// Per-point scalars of a saved dataset, without the embeddings or the

@@ -110,7 +110,6 @@ Dataset cifar_proxy(double scale, std::uint64_t seed) {
   config.embeddings.num_classes = 100;
   config.embeddings.seed = seed;
   config.knn.num_neighbors = 10;
-  config.knn.num_probes = 8;
   config.knn.seed = seed + 1;
   return make_dataset(config);
 }
@@ -123,7 +122,6 @@ Dataset imagenet_proxy(double scale, std::uint64_t seed) {
   config.embeddings.num_classes = 1000;
   config.embeddings.seed = seed;
   config.knn.num_neighbors = 10;
-  config.knn.num_probes = 8;
   config.knn.seed = seed + 1;
   return make_dataset(config);
 }

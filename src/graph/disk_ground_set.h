@@ -173,10 +173,6 @@ class DiskGroundSet final : public GroundSet {
 
   DiskCacheStats stats() const noexcept;
 
-  /// Back-compat accessors (pre-sharding callers).
-  std::uint64_t cache_hits() const noexcept { return stats().hits; }
-  std::uint64_t cache_misses() const noexcept { return stats().misses; }
-
   std::size_t num_shards() const noexcept { return shards_.size(); }
   std::size_t max_cached_blocks() const noexcept {
     return config_.max_cached_blocks;

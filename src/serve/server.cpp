@@ -303,7 +303,6 @@ ServeResponse SelectionServer::serve_select(api::SolverContext& context,
   selection.solver = request.solver;
   selection.distributed.num_machines = request.machines;
   selection.distributed.num_rounds = request.rounds;
-  selection.distributed.stochastic_epsilon = request.epsilon;
   selection.streaming.epsilon = request.epsilon;
   if (request.cost_budget > 0.0 || request.group_cap > 0) {
     // Constrained request: the budgets come from the wire, the per-element

@@ -94,11 +94,7 @@ TEST(SolverRegistry, RejectsEpsilonOutsideOpenUnitInterval) {
       request.ground_set = &ground_set;
       request.k = 5;
       request.solver = solver;
-      if (solver == "stochastic-greedy") {
-        request.distributed.stochastic_epsilon = epsilon;
-      } else {
-        request.streaming.epsilon = epsilon;
-      }
+      request.streaming.epsilon = epsilon;
       EXPECT_THROW(select(request), std::invalid_argument)
           << solver << " epsilon=" << epsilon;
     }

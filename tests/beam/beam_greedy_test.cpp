@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "../testing/naive_greedy.h"
@@ -46,6 +47,21 @@ TEST(BeamGreedy, SelectsExactlyKUniqueIds) {
   std::set<NodeId> unique(result.selected.begin(), result.selected.end());
   EXPECT_EQ(unique.size(), 40u);
   EXPECT_TRUE(std::is_sorted(result.selected.begin(), result.selected.end()));
+}
+
+TEST(BeamGreedy, RejectsNonPositiveGamma) {
+  const Instance instance = random_instance(60, 4, 900);
+  const auto ground_set = instance.ground_set();
+  const core::PairwiseKernel kernel(ground_set, core::ObjectiveParams::from_alpha(0.9));
+  for (const double gamma : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    auto pipeline = make_pipeline();
+    auto config = make_config(4, 2);
+    config.delta_gamma = gamma;
+    EXPECT_THROW(beam_distributed_greedy(pipeline, kernel, 6, config),
+                 std::invalid_argument)
+        << "gamma " << gamma;
+  }
 }
 
 TEST(BeamGreedy, DeterministicGivenSeed) {

@@ -1,10 +1,11 @@
 // Checkpoint/resume of the multi-round distributed greedy: a preempted run
 // plus a resumed run must be indistinguishable from an uninterrupted one,
-// mismatched configurations must not resume, corrupt checkpoints must fall
-// back to a clean restart — including on the out-of-core path, where a
-// cooperative cancel mid-solve on a DiskGroundSet followed by a resume must
-// be bit-identical to an uninterrupted in-memory run — and a crash injected
-// mid-flush must leave the previous complete checkpoint byte-identical.
+// mismatched configurations (seed, Δ schedule γ) must not resume, corrupt
+// checkpoints must fall back to a clean restart — including on the
+// out-of-core path, where a cooperative cancel mid-solve on a DiskGroundSet
+// followed by a resume must be bit-identical to an uninterrupted in-memory
+// run — and a crash injected mid-flush must leave the previous complete
+// checkpoint byte-identical.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -325,20 +326,29 @@ TEST_F(CheckpointTest, DegradedRunKeepsCheckpointAndStillReturnsValidSelection) 
   EXPECT_FALSE(std::filesystem::exists(config.checkpoint_file));
 }
 
-TEST_F(CheckpointTest, WorksTogetherWithStochasticSolver) {
-  const Instance instance = random_instance(300, 4, 965);
+TEST_F(CheckpointTest, DifferentDeltaGammaDoesNotResume) {
+  // γ shapes every round's target, so a checkpoint written under one
+  // schedule must not resume a run under another: the survivors of round 2
+  // at γ = 0.5 are neither size nor selection of round 2 at γ = 0.75.
+  const Instance instance = random_instance(600, 5, 966);
   const auto ground_set = instance.ground_set();
-  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
-  auto config = make_config(77);
-  config.partition_solver = PartitionSolver::kStochastic;
-  const auto uninterrupted = distributed_greedy(kernel, 30, config);
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.5));
+  auto config = make_config(78);
+  const auto uninterrupted = distributed_greedy(kernel, 60, config);
 
-  config.checkpoint_file = path("stochastic.ckpt");
-  config.stop_after_round = 2;
-  (void)distributed_greedy(kernel, 30, config);
-  config.stop_after_round = 0;
-  const auto resumed = distributed_greedy(kernel, 30, config);
-  EXPECT_EQ(resumed.selected, uninterrupted.selected);
+  auto half = make_config(78);
+  half.delta_gamma = 0.5;
+  half.checkpoint_file = path("gamma.ckpt");
+  half.stop_after_round = 2;
+  (void)distributed_greedy(kernel, 60, half);
+  ASSERT_TRUE(std::filesystem::exists(half.checkpoint_file));
+
+  config.checkpoint_file = half.checkpoint_file;
+  const auto result = distributed_greedy(kernel, 60, config);
+  EXPECT_EQ(result.resumed_rounds, 0u);
+  EXPECT_EQ(result.rounds.size(), 6u);
+  EXPECT_EQ(result.selected, uninterrupted.selected);
+  EXPECT_EQ(result.objective, uninterrupted.objective);
 }
 
 }  // namespace

@@ -165,8 +165,7 @@ TEST(ConstraintSetFingerprint, DistinguishesConfigurations) {
 /// Runs constrained solve_partition over the full ground set and audits the
 /// selection. Returns a failure message or nullopt.
 std::optional<std::string> constrained_solve_property(std::uint64_t seed,
-                                                      double scale,
-                                                      PartitionSolver solver) {
+                                                      double scale) {
   const std::size_t n = scaled(14, scale, 4);
   const std::size_t k = scaled(5, scale, 2);
   const Instance instance = random_instance(n, 3, seed);
@@ -180,9 +179,8 @@ std::optional<std::string> constrained_solve_property(std::uint64_t seed,
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
-  const GreedyResult result = solve_partition(
-      kernel, members, k, nullptr, arena, solver, 0.1, seed, nullptr,
-      nullptr, &constraints);
+  const GreedyResult result = solve_partition(kernel, members, k, nullptr, arena,
+                                              nullptr, nullptr, &constraints);
 
   std::vector<NodeId> sorted = result.selected;
   std::sort(sorted.begin(), sorted.end());
@@ -226,18 +224,7 @@ std::optional<std::string> constrained_solve_property(std::uint64_t seed,
 
 TEST(ConstrainedGreedyConformance, PriorityQueueSelectionsFeasibleAndMaximal) {
   check_property("constrained priority-queue greedy", 120,
-                 [](std::uint64_t seed, double scale) {
-                   return constrained_solve_property(
-                       seed, scale, PartitionSolver::kPriorityQueue);
-                 });
-}
-
-TEST(ConstrainedGreedyConformance, StochasticSelectionsFeasibleAndMaximal) {
-  check_property("constrained stochastic greedy", 120,
-                 [](std::uint64_t seed, double scale) {
-                   return constrained_solve_property(
-                       seed, scale, PartitionSolver::kStochastic);
-                 });
+                 constrained_solve_property);
 }
 
 TEST(ConstrainedGreedyConformance, NonBindingConstraintsAreBitIdentical) {
@@ -264,12 +251,10 @@ TEST(ConstrainedGreedyConformance, NonBindingConstraintsAreBitIdentical) {
         std::vector<NodeId> members(n);
         for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
         SubproblemArena arena_a, arena_b;
-        const GreedyResult unconstrained = solve_partition(
-            kernel, members, k, nullptr, arena_a, PartitionSolver::kPriorityQueue,
-            0.1, seed);
+        const GreedyResult unconstrained =
+            solve_partition(kernel, members, k, nullptr, arena_a);
         const GreedyResult constrained = solve_partition(
-            kernel, members, k, nullptr, arena_b, PartitionSolver::kPriorityQueue,
-            0.1, seed, nullptr, nullptr, &loose);
+            kernel, members, k, nullptr, arena_b, nullptr, nullptr, &loose);
         if (constrained.selected != unconstrained.selected) {
           return "selections differ under non-binding constraints";
         }
@@ -293,9 +278,8 @@ TEST(ConstrainedGreedyConformance, BlockedOnlyConstraintsExcludeExactlyBlocked) 
   std::vector<NodeId> members(30);
   for (std::size_t i = 0; i < 30; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
-  const GreedyResult result = solve_partition(
-      kernel, members, 10, nullptr, arena, PartitionSolver::kPriorityQueue,
-      0.1, 1, nullptr, nullptr, &constraints);
+  const GreedyResult result = solve_partition(kernel, members, 10, nullptr, arena,
+                                              nullptr, nullptr, &constraints);
   EXPECT_EQ(result.selected.size(), 10u);  // plenty of unblocked candidates
   for (const NodeId v : result.selected) {
     EXPECT_FALSE(std::binary_search(constraints.blocked.begin(),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "../testing/test_instances.h"
@@ -25,18 +26,16 @@ DistributedGreedyConfig make_config(std::size_t machines, std::size_t rounds,
 
 TEST(LinearDelta, SatisfiesBoundaryConstraint) {
   for (double gamma : {0.25, 0.5, 0.75, 1.0}) {
-    const auto delta = linear_delta(gamma);
     // Last round must target exactly k (the Algorithm 6 constraint).
-    EXPECT_EQ(delta(1000, 8, 8, 100), 100u);
-    EXPECT_EQ(delta(1000, 1, 1, 5), 5u);
+    EXPECT_EQ(linear_delta(1000, 8, 8, 100, gamma), 100u);
+    EXPECT_EQ(linear_delta(1000, 1, 1, 5, gamma), 5u);
   }
 }
 
 TEST(LinearDelta, MonotonicallyDecreasesAcrossRounds) {
-  const auto delta = linear_delta(0.75);
   std::size_t previous = 1000;
   for (std::size_t round = 1; round <= 8; ++round) {
-    const std::size_t target = delta(1000, 8, round, 100);
+    const std::size_t target = linear_delta(1000, 8, round, 100);
     EXPECT_LE(target, previous);
     EXPECT_GE(target, 100u);
     previous = target;
@@ -44,14 +43,30 @@ TEST(LinearDelta, MonotonicallyDecreasesAcrossRounds) {
 }
 
 TEST(LinearDelta, GammaScalesIntermediateTargets) {
-  const auto small = linear_delta(0.25);
-  const auto large = linear_delta(1.0);
-  EXPECT_LT(small(1000, 8, 1, 100), large(1000, 8, 1, 100));
+  EXPECT_LT(linear_delta(1000, 8, 1, 100, 0.25), linear_delta(1000, 8, 1, 100, 1.0));
+}
+
+TEST(LinearDelta, TargetNeverExceedsTheGroundSet) {
+  // γ > 1 asks for more points than exist; 1e300 would overflow the size_t
+  // cast without the cap. The last round still targets exactly k.
+  EXPECT_EQ(linear_delta(1000, 8, 1, 100, 2.0), 1000u);
+  EXPECT_EQ(linear_delta(1000, 8, 1, 100, 1e300), 1000u);
+  EXPECT_EQ(linear_delta(1000, 8, 8, 100, 1e300), 100u);
 }
 
 TEST(LinearDelta, RejectsNonPositiveGamma) {
-  EXPECT_THROW(linear_delta(0.0), std::invalid_argument);
-  EXPECT_THROW(linear_delta(-1.0), std::invalid_argument);
+  // γ lives in the round-loop config; both round loops refuse a γ that is
+  // not a finite positive number before any round runs.
+  const Instance instance = random_instance(60, 4, 200);
+  const auto ground_set = instance.ground_set();
+  const PairwiseKernel kernel(ground_set, ObjectiveParams::from_alpha(0.9));
+  for (const double gamma : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    auto config = make_config(4, 2, true);
+    config.delta_gamma = gamma;
+    EXPECT_THROW(distributed_greedy(kernel, 6, config), std::invalid_argument)
+        << "gamma " << gamma;
+  }
 }
 
 TEST(DistributedGreedy, ReturnsExactlyKDistinctPoints) {

@@ -421,20 +421,17 @@ TEST(SolvePartition, ConditioningIgnoresNeighborIdsPastTheState) {
   SelectionState conditioning(4);
   conditioning.select(3);
   const std::vector<NodeId> members{0, 1, 2};
-  const auto solve = [&](const ObjectiveKernel& kernel, PartitionSolver solver) {
+  const auto solve = [&](const ObjectiveKernel& kernel) {
     SubproblemArena arena;
-    return solve_partition(kernel, members, 2, &conditioning, arena, solver, 0.5, 7);
+    return solve_partition(kernel, members, 2, &conditioning, arena);
   };
   const auto expect_same = [&](const ObjectiveKernel& on_grown,
                                const ObjectiveKernel& on_plain) {
-    for (const PartitionSolver solver :
-         {PartitionSolver::kPriorityQueue, PartitionSolver::kStochastic}) {
-      const GreedyResult got = solve(on_grown, solver);
-      const GreedyResult want = solve(on_plain, solver);
-      EXPECT_EQ(got.selected, want.selected) << on_grown.name();
-      EXPECT_EQ(got.objective, want.objective) << on_grown.name();
-      EXPECT_EQ(got.selected.size(), 2u) << on_grown.name();
-    }
+    const GreedyResult got = solve(on_grown);
+    const GreedyResult want = solve(on_plain);
+    EXPECT_EQ(got.selected, want.selected) << on_grown.name();
+    EXPECT_EQ(got.objective, want.objective) << on_grown.name();
+    EXPECT_EQ(got.selected.size(), 2u) << on_grown.name();
   };
   expect_same(PairwiseKernel(grown, {}), PairwiseKernel(plain, {}));
   expect_same(FacilityLocationKernel(grown, {}), FacilityLocationKernel(plain, {}));

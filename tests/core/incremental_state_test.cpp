@@ -3,8 +3,8 @@
 // keeps none, the plain-loop reference in tests/testing/pairwise_reference.h)
 // must stay within tolerance of the kernel's brute-force exact oracle
 // (marginal_gain), its batched and single gains must agree bit for bit, and
-// the batched lazy and sampled drivers must pick exactly what one-at-a-time
-// loops over the same state pick — across randomized instances, adversarial
+// the batched lazy driver must pick exactly what a one-at-a-time lazy loop
+// over the same state picks — across randomized instances, adversarial
 // ties, duplicate weights, conditioning on pre-selected state, and empty
 // partitions.
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ std::vector<NodeId> every_third(std::size_t n) {
 
 /// Over a random play-out on a partial subproblem: the priorities written at
 /// reset are the state's own gains, batched gains equal single gains bit for
-/// bit, and a second reset reproduces the first (the cached-layout path).
+/// bit, and a second reset reproduces the first.
 void expect_state_self_consistent(const ObjectiveKernel& kernel,
                                   std::span<const NodeId> members,
                                   const SelectionState* conditioning,
@@ -312,26 +312,22 @@ TEST(BatchedLazyDriver, HandlesEmptyAndDegeneratePartitions) {
     SubproblemArena arena;
     // Empty member list.
     const GreedyResult empty =
-        solve_partition(*kernel, std::span<const NodeId>{}, 5, nullptr, arena,
-                        PartitionSolver::kPriorityQueue, 0.1, 1);
+        solve_partition(*kernel, std::span<const NodeId>{}, 5, nullptr, arena);
     EXPECT_TRUE(empty.selected.empty()) << kernel->name();
     EXPECT_EQ(empty.objective, 0.0) << kernel->name();
 
     // k = 0 on a non-empty partition.
     std::vector<NodeId> members = {1, 5, 9};
-    const GreedyResult zero = solve_partition(
-        *kernel, members, 0, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
+    const GreedyResult zero = solve_partition(*kernel, members, 0, nullptr, arena);
     EXPECT_TRUE(zero.selected.empty()) << kernel->name();
 
     // k beyond the partition size selects everything.
-    const GreedyResult all = solve_partition(
-        *kernel, members, 64, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
+    const GreedyResult all = solve_partition(*kernel, members, 64, nullptr, arena);
     EXPECT_EQ(all.selected.size(), members.size()) << kernel->name();
 
     // Duplicate members are rejected on both gain paths.
     std::vector<NodeId> duplicates = {1, 5, 5};
-    EXPECT_THROW(solve_partition(*kernel, duplicates, 2, nullptr, arena,
-                                 PartitionSolver::kPriorityQueue, 0.1, 1),
+    EXPECT_THROW(solve_partition(*kernel, duplicates, 2, nullptr, arena),
                  std::invalid_argument)
         << kernel->name();
   }
@@ -352,9 +348,8 @@ TEST(SolvePartition, MatchesOneAtATimeLazyLoop) {
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena arena;
     std::size_t state_bytes = 0;
-    const GreedyResult solved = solve_partition(
-        *kernel, members, k, nullptr, arena, PartitionSolver::kPriorityQueue,
-        0.1, 3, nullptr, &state_bytes);
+    const GreedyResult solved =
+        solve_partition(*kernel, members, k, nullptr, arena, nullptr, &state_bytes);
 
     SubproblemArena reference_arena;
     Subproblem& sub =
@@ -375,86 +370,6 @@ TEST(SolvePartition, MatchesOneAtATimeLazyLoop) {
       EXPECT_EQ(solved.kernel_state_bytes, state_bytes);
     }
     EXPECT_GT(solved.materialized_bytes, 0u) << kernel->name();
-  }
-}
-
-/// The gains_batch stochastic driver vs the one-at-a-time sampled loop over
-/// the same state arithmetic, called directly (identical picks and
-/// objective) and through solve_partition (identical picks; pairwise runs
-/// the closed-form priorities there, whose gains differ by association
-/// only, so its objective is compared to a tolerance).
-void expect_sampled_drivers_agree(const ObjectiveKernel& kernel,
-                                  std::span<const NodeId> members,
-                                  const SelectionState* conditioning,
-                                  std::size_t k, double epsilon,
-                                  std::uint64_t seed) {
-  SubproblemArena reference_arena;
-  Subproblem& reference_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, reference_arena);
-  const std::unique_ptr<KernelIncrementalState> reference_state =
-      incremental_state_for(kernel, reference_arena);
-  reference_state->reset(reference_sub, conditioning);
-  const GreedyResult expected = subsel::testing::one_at_a_time_sampled_greedy(
-      reference_sub, k, *reference_state, epsilon, seed);
-
-  SubproblemArena state_arena;
-  Subproblem& state_sub = materialize_subproblem_topology(
-      kernel.ground_set(), members, state_arena);
-  const std::unique_ptr<KernelIncrementalState> state =
-      incremental_state_for(kernel, state_arena);
-  state->reset(state_sub, conditioning, /*init_priorities=*/false);
-  const GreedyResult direct = stochastic_greedy_on_subproblem(
-      state_sub, k, *state, epsilon, seed, state_arena);
-  EXPECT_EQ(direct.selected, expected.selected) << kernel.name();
-  EXPECT_EQ(direct.objective, expected.objective) << kernel.name();
-
-  SubproblemArena arena;
-  const GreedyResult solved =
-      solve_partition(kernel, members, k, conditioning, arena,
-                      PartitionSolver::kStochastic, epsilon, seed);
-  EXPECT_EQ(solved.selected, expected.selected) << kernel.name();
-  if (kernel.pairwise_params() != nullptr) {
-    EXPECT_NEAR(solved.objective, expected.objective,
-                1e-9 * (1.0 + std::abs(expected.objective)));
-  } else {
-    EXPECT_EQ(solved.objective, expected.objective) << kernel.name();
-  }
-}
-
-TEST(SampledDriver, MatchesOneAtATimeLoop) {
-  const std::size_t n = 180;
-  for (std::uint64_t seed : {41310ULL, 41311ULL}) {
-    const Instance instance = random_instance(n, 5, seed);
-    const auto ground_set = instance.ground_set();
-    const KernelSet kernels(ground_set);
-    std::vector<NodeId> members(n);
-    for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-    SelectionState conditioning(n);
-    for (const NodeId v : {NodeId{7}, NodeId{60}, NodeId{122}}) {
-      conditioning.select(v);
-    }
-    const std::vector<NodeId> conditioned_members = conditioning.unassigned_ids();
-
-    for (const ObjectiveKernel* kernel : kernels.all()) {
-      // Large samples, single-candidate samples, and a run to exhaustion.
-      expect_sampled_drivers_agree(*kernel, members, nullptr, 30, 0.2, seed);
-      expect_sampled_drivers_agree(*kernel, members, nullptr, n, 0.5, seed + 1);
-      expect_sampled_drivers_agree(*kernel, conditioned_members, &conditioning,
-                                   25, 0.1, seed + 2);
-    }
-  }
-}
-
-TEST(SampledDriver, MatchesOneAtATimeLoopUnderAdversarialTies) {
-  // Every sample is a tie, so the smallest-id tie-break decides every pick.
-  const std::size_t n = 120;
-  const Instance instance = adversarial_ties_instance(n);
-  const auto ground_set = instance.ground_set();
-  const KernelSet kernels(ground_set);
-  std::vector<NodeId> members(n);
-  for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-  for (const ObjectiveKernel* kernel : kernels.all()) {
-    expect_sampled_drivers_agree(*kernel, members, nullptr, n / 3, 0.2, 41320);
   }
 }
 

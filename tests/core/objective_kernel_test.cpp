@@ -1,4 +1,4 @@
-// The ObjectiveKernel seam: the incremental-state drivers fed by the
+// The ObjectiveKernel seam: the incremental-state lazy driver fed by the
 // plain-loop pairwise reference state against closed-form Algorithm 2, the
 // coverage-family kernels (facility location, saturated coverage) against
 // brute-force marginal-gain greedy, and kernel-driven distributed greedy.
@@ -123,9 +123,7 @@ void expect_matches_naive(const Kernel& kernel, std::size_t k) {
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
   SubproblemArena arena;
-  GreedyResult actual =
-      solve_partition(kernel, members, k, nullptr, arena,
-                      PartitionSolver::kPriorityQueue, 0.1, 0, nullptr);
+  GreedyResult actual = solve_partition(kernel, members, k, nullptr, arena);
   // solve_partition reports pick order; naive too. Same order expected.
   EXPECT_EQ(actual.selected, expected.selected);
   EXPECT_NEAR(actual.objective, expected.objective, 1e-9);
@@ -165,61 +163,6 @@ TEST(SaturatedCoverageKernel, RejectsInvalidParams) {
   SaturatedCoverageParams params;
   params.saturation = 0.0;
   EXPECT_THROW(SaturatedCoverageKernel(ground_set, params), std::invalid_argument);
-}
-
-TEST(StochasticIncrementalDriver, MatchesPairwiseStochasticSelections) {
-  // The incremental-state stochastic driver draws the exact same Rng stream
-  // as the pairwise-priorities overload, so with the pairwise state (whose
-  // gains are a positive rescaling of the maintained priorities) the
-  // selected sequences must coincide.
-  const Instance instance = random_instance(160, 6, 9700);
-  const auto ground_set = instance.ground_set();
-  const auto params = ObjectiveParams::from_alpha(0.85);
-
-  std::vector<NodeId> members(160);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    members[i] = static_cast<NodeId>(i);
-  }
-  SubproblemArena arena;
-  const Subproblem& sub =
-      materialize_subproblem(ground_set, members, params, nullptr, arena);
-  const GreedyResult expected =
-      stochastic_greedy_on_subproblem(sub, 25, params, 0.2, 555);
-
-  SubproblemArena state_arena;
-  Subproblem& state_sub =
-      materialize_subproblem_topology(ground_set, members, state_arena);
-  PairwiseIncrementalState state(ground_set, params);
-  state.reset(state_sub, nullptr, /*init_priorities=*/false);
-  const GreedyResult actual = stochastic_greedy_on_subproblem(
-      state_sub, 25, state, 0.2, 555, state_arena);
-
-  EXPECT_EQ(actual.selected, expected.selected);
-  EXPECT_NEAR(actual.objective, expected.objective, 1e-9);
-}
-
-TEST(StochasticIncrementalDriver, NewKernelsRunThroughStochasticPartitions) {
-  const Instance instance = random_instance(250, 5, 9710);
-  const auto ground_set = instance.ground_set();
-  const FacilityLocationKernel fl(ground_set, {});
-  const SaturatedCoverageKernel cov(ground_set, {});
-  for (const ObjectiveKernel* kernel :
-       std::vector<const ObjectiveKernel*>{&fl, &cov}) {
-    DistributedGreedyConfig config;
-    config.num_machines = 3;
-    config.num_rounds = 2;
-    config.partition_solver = PartitionSolver::kStochastic;
-    config.stochastic_epsilon = 0.2;
-    config.seed = 13;
-    const DistributedGreedyResult result = distributed_greedy(*kernel, 25, config);
-    ASSERT_EQ(result.selected.size(), 25u) << kernel->name();
-    EXPECT_TRUE(std::is_sorted(result.selected.begin(), result.selected.end()));
-    EXPECT_EQ(std::adjacent_find(result.selected.begin(), result.selected.end()),
-              result.selected.end());
-    EXPECT_NEAR(result.objective,
-                kernel->evaluate(std::span<const NodeId>(result.selected)), 1e-9)
-        << kernel->name();
-  }
 }
 
 TEST(KernelCheckpoints, DifferentObjectiveConfigsDoNotResumeEachOther) {

@@ -145,32 +145,17 @@ GreedyResult solve_partition_scalar(Args&&... args) {
 }
 
 void expect_backends_agree(const graph::GroundSet& ground_set,
-                           std::span<const NodeId> members, std::size_t k,
-                           std::uint64_t seed) {
+                           std::span<const NodeId> members, std::size_t k) {
   const KernelSet kernels(ground_set);
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena native_arena;
     const GreedyResult native =
-        solve_partition(*kernel, members, k, nullptr, native_arena,
-                        PartitionSolver::kPriorityQueue, 0.1, seed);
+        solve_partition(*kernel, members, k, nullptr, native_arena);
     SubproblemArena scalar_arena;
     const GreedyResult scalar =
-        solve_partition_scalar(*kernel, members, k, nullptr, scalar_arena,
-                               PartitionSolver::kPriorityQueue, 0.1, seed);
+        solve_partition_scalar(*kernel, members, k, nullptr, scalar_arena);
     EXPECT_EQ(native.selected, scalar.selected) << kernel->name();
     EXPECT_EQ(native.objective, scalar.objective) << kernel->name();
-
-    // Stochastic path too (shared Rng stream, so same candidate samples).
-    SubproblemArena native_stoch;
-    const GreedyResult native_s =
-        solve_partition(*kernel, members, k, nullptr, native_stoch,
-                        PartitionSolver::kStochastic, 0.2, seed);
-    SubproblemArena scalar_stoch;
-    const GreedyResult scalar_s =
-        solve_partition_scalar(*kernel, members, k, nullptr, scalar_stoch,
-                               PartitionSolver::kStochastic, 0.2, seed);
-    EXPECT_EQ(native_s.selected, scalar_s.selected) << kernel->name();
-    EXPECT_EQ(native_s.objective, scalar_s.objective) << kernel->name();
   }
 }
 
@@ -182,7 +167,7 @@ TEST(SimdSolveParity, RandomInstances) {
     for (std::size_t i = 0; i < 160; i += 2) {
       members.push_back(static_cast<NodeId>(i));
     }
-    expect_backends_agree(ground_set, members, members.size() / 3, seed);
+    expect_backends_agree(ground_set, members, members.size() / 3);
   }
 }
 
@@ -194,7 +179,7 @@ TEST(SimdSolveParity, DegreesBelowVectorWidth) {
     const auto ground_set = instance.ground_set();
     std::vector<NodeId> members(90);
     for (std::size_t i = 0; i < 90; ++i) members[i] = static_cast<NodeId>(i);
-    expect_backends_agree(ground_set, members, 20, 91100 + degree);
+    expect_backends_agree(ground_set, members, 20);
   }
 }
 
@@ -205,13 +190,12 @@ TEST(SimdSolveParity, EmptyAndDegenerateSubproblems) {
   for (const ObjectiveKernel* kernel : kernels.all()) {
     SubproblemArena arena;
     const GreedyResult empty = solve_partition_scalar(
-        *kernel, std::span<const NodeId>{}, 5, nullptr, arena,
-        PartitionSolver::kPriorityQueue, 0.1, 1);
+        *kernel, std::span<const NodeId>{}, 5, nullptr, arena);
     EXPECT_TRUE(empty.selected.empty()) << kernel->name();
 
     const std::vector<NodeId> one = {7};
-    const GreedyResult single = solve_partition_scalar(
-        *kernel, one, 3, nullptr, arena, PartitionSolver::kPriorityQueue, 0.1, 1);
+    const GreedyResult single =
+        solve_partition_scalar(*kernel, one, 3, nullptr, arena);
     EXPECT_EQ(single.selected, one) << kernel->name();
   }
 }
@@ -232,7 +216,7 @@ TEST(SimdSolveParity, DuplicateAndTiedGains) {
   const auto ground_set = instance.ground_set();
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
-  expect_backends_agree(ground_set, members, n / 3, 91300);
+  expect_backends_agree(ground_set, members, n / 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,22 +304,16 @@ TEST(SimdSolveParity, RandomizedPairwiseScalarVsNativeBitIdentity) {
         if (members.empty()) members.push_back(0);
         const std::size_t k = 1 + rng.uniform_index(members.size());
 
-        for (const auto solver :
-             {PartitionSolver::kPriorityQueue, PartitionSolver::kStochastic}) {
-          SubproblemArena native_arena;
-          const GreedyResult native = solve_partition(
-              kernel, members, k, nullptr, native_arena, solver, 0.2, seed);
-          SubproblemArena scalar_arena;
-          const GreedyResult scalar = solve_partition_scalar(
-              kernel, members, k, nullptr, scalar_arena, solver, 0.2, seed);
-          if (native.selected != scalar.selected) {
-            return "selections diverged (solver "
-                   + std::to_string(static_cast<int>(solver)) + ")";
-          }
-          if (native.objective != scalar.objective) {
-            return "objectives diverged by " +
-                   std::to_string(native.objective - scalar.objective);
-          }
+        SubproblemArena native_arena;
+        const GreedyResult native =
+            solve_partition(kernel, members, k, nullptr, native_arena);
+        SubproblemArena scalar_arena;
+        const GreedyResult scalar =
+            solve_partition_scalar(kernel, members, k, nullptr, scalar_arena);
+        if (native.selected != scalar.selected) return "selections diverged";
+        if (native.objective != scalar.objective) {
+          return "objectives diverged by " +
+                 std::to_string(native.objective - scalar.objective);
         }
         return std::nullopt;
       });
@@ -361,15 +339,13 @@ TEST(SimdSolveParity, RandomizedConstrainedSolvesStayBitIdentical) {
         const std::size_t k = 2 + rng.uniform_index(n / 2);
 
         SubproblemArena native_arena;
-        const GreedyResult native = solve_partition(
-            kernel, members, k, nullptr, native_arena,
-            PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            &constraints);
+        const GreedyResult native =
+            solve_partition(kernel, members, k, nullptr, native_arena, nullptr,
+                            nullptr, &constraints);
         SubproblemArena scalar_arena;
-        const GreedyResult scalar = solve_partition_scalar(
-            kernel, members, k, nullptr, scalar_arena,
-            PartitionSolver::kPriorityQueue, 0.1, seed, nullptr, nullptr,
-            &constraints);
+        const GreedyResult scalar =
+            solve_partition_scalar(kernel, members, k, nullptr, scalar_arena,
+                                   nullptr, nullptr, &constraints);
         if (native.selected != scalar.selected) return "selections diverged";
         if (native.objective != scalar.objective) return "objectives diverged";
         return std::nullopt;

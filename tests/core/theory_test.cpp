@@ -237,12 +237,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GreedyEquivalenceSweep,
 // ---------------------------------------------------------------------------
 // Δ schedule contract (Section 4.4)
 
-class DeltaScheduleSweep
+class LinearDeltaSweep
     : public ::testing::TestWithParam<std::tuple<double, std::size_t>> {};
 
-TEST_P(DeltaScheduleSweep, LastRoundIsExactlyKAndSizesDecrease) {
+TEST_P(LinearDeltaSweep, LastRoundIsExactlyKAndSizesDecrease) {
   const auto [gamma, rounds] = GetParam();
-  const auto delta = linear_delta(gamma);
+  const auto delta = [gamma](std::size_t v0, std::size_t r, std::size_t round,
+                             std::size_t k) {
+    return linear_delta(v0, r, round, k, gamma);
+  };
   for (const std::size_t v0 : {std::size_t{100}, std::size_t{5000},
                                std::size_t{1000000}}) {
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, v0 / 2, v0}) {
@@ -260,7 +263,7 @@ TEST_P(DeltaScheduleSweep, LastRoundIsExactlyKAndSizesDecrease) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(GammasAndRounds, DeltaScheduleSweep,
+INSTANTIATE_TEST_SUITE_P(GammasAndRounds, LinearDeltaSweep,
                          ::testing::Combine(::testing::Values(0.25, 0.5, 0.75, 1.0),
                                             ::testing::Values(1u, 4u, 32u)));
 

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "../testing/temp_dir.h"
+#include "common/serialize.h"
 #include "core/objective.h"
 
 namespace subsel::data {
@@ -102,6 +106,37 @@ TEST_F(DatasetIoTest, LoadRejectsMissingGraphSidecar) {
   std::filesystem::remove(path("nograph") + ".graph");
   Dataset dataset;
   EXPECT_FALSE(try_load_dataset(path("nograph"), dataset));
+}
+
+TEST_F(DatasetIoTest, LoadErrorNamesTheFailedGraphCheck) {
+  // A graph file whose row 17 names node 17 itself: load_dataset must say
+  // which check failed, not only that the load did.
+  const Dataset original = toy_dataset(200, 5, 81);
+  save_dataset(original, path("selfloop"));
+  std::vector<std::int64_t> offsets{0};
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 0; v < 200; ++v) {
+    for (const graph::Edge& e : original.graph.neighbors(v)) edges.push_back(e);
+    offsets.push_back(static_cast<std::int64_t>(edges.size()));
+  }
+  ASSERT_LT(offsets[17], offsets[18]);
+  edges[static_cast<std::size_t>(offsets[17])].neighbor = 17;
+  {
+    BinaryWriter writer(path("selfloop") + ".graph");  // SimilarityGraph::save's layout
+    writer.write_pod(std::uint64_t{0x5355424752415048ULL});  // "SUBGRAPH"
+    writer.write_pod(std::uint32_t{1});
+    writer.write_vector(offsets);
+    writer.write_vector(edges);
+    ASSERT_TRUE(writer.ok());
+  }
+  try {
+    (void)load_dataset(path("selfloop"));
+    ADD_FAILURE() << "a graph with a self loop loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("self loop"), std::string::npos) << e.what();
+  }
+  Dataset dataset;
+  EXPECT_FALSE(try_load_dataset(path("selfloop"), dataset));
 }
 
 TEST_F(DatasetIoTest, ScalarsLoadSkipsEmbeddingsButMatches) {

@@ -71,7 +71,7 @@ TEST_F(DiskGroundSetTest, TinyCacheStillCorrect) {
     memory.neighbors(v, memory_edges);
     ASSERT_EQ(disk_edges, memory_edges) << "node " << v;
   }
-  EXPECT_GT(disk.cache_misses(), 0u);
+  EXPECT_GT(disk.stats().misses, 0u);
 }
 
 TEST_F(DiskGroundSetTest, ResidencyIsBoundedAndFarBelowEdgeBytes) {
@@ -101,7 +101,8 @@ TEST_F(DiskGroundSetTest, SequentialScanHitsCacheMostly) {
   }
   // A streaming scan touches each block ~once; hits dominate because many
   // nodes share a block.
-  EXPECT_GT(disk.cache_hits(), 4 * disk.cache_misses());
+  const DiskCacheStats stats = disk.stats();
+  EXPECT_GT(stats.hits, 4 * stats.misses);
 }
 
 TEST_F(DiskGroundSetTest, BoundingMatchesInMemoryDecisions) {

@@ -1,15 +1,15 @@
 // Plain-loop pairwise incremental state: the reference the closed-form
-// pairwise partition path (materialize_subproblem + greedy_on_subproblem /
-// stochastic_greedy_on_subproblem) is cross-checked against.
+// pairwise partition path (materialize_subproblem + greedy_on_subproblem) is
+// cross-checked against.
 //
 // Pairwise kernels keep no incremental state in the library —
 // make_incremental_state returns null whenever pairwise_params() is set —
 // because their marginal gains are linear in the selected neighborhood:
 // gain(v|S) = α·u(v) − β·Σ_{j∈S∩N(v)} s(v,j). This state maintains exactly
 // that array (selecting v lowers each local neighbor's gain by β·s), so the
-// kernel-generic drivers and one-at-a-time loops in lazy_reference.h can run
-// pairwise too and be compared with the closed form, whose priorities differ
-// from these gains by association only.
+// kernel-generic lazy driver and the one-at-a-time loop in lazy_reference.h
+// can run pairwise too and be compared with the closed form, whose
+// priorities differ from these gains by association only.
 #pragma once
 
 #include <cstdint>

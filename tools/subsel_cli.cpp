@@ -37,9 +37,9 @@
 // Robustness controls (see README "Robustness"):
 //   --deadline-ms=N       wall-clock budget; expired runs return the best
 //                         valid selection so far, flagged "degraded"
-//   --checkpoint-file=F   crash-consistent round checkpoints (+ resume)
+//   --checkpoint-file=F   crash-consistent round checkpoints; a rerun with
+//                         the same F and configuration resumes from F
 //   --checkpoint-every=N  save every Nth round (default 1)
-//   --resume-from=F       resume from F (alias for --checkpoint-file)
 //   --failpoints=SPEC     arm deterministic fault injection, e.g.
 //                         "disk.pread=prob(0.01,7);pool.task=nth(3)"
 //                         (SUBSEL_FAILPOINTS env var works too)
@@ -208,7 +208,7 @@ int usage() {
                "             [--worker-memory-kb=N] [--seed=N] [--report=FILE]\n"
                "             [--deadline-ms=N] [--checkpoint-file=F]"
                " [--checkpoint-every=N]\n"
-               "             [--resume-from=F] [--failpoints=SPEC]\n"
+               "             [--failpoints=SPEC]\n"
                "             [--cost-file=F --cost-budget=B]"
                " [--group-file=F --group-cap=N]\n"
                "             --out=FILE\n"
@@ -383,11 +383,9 @@ int cmd_select(const CliArgs& args) {
   request.distributed.num_machines = args.get_size("machines", 8);
   request.distributed.num_rounds = args.get_size("rounds", 8);
   request.distributed.adaptive_partitioning = !args.has_flag("no-adaptive");
-  request.distributed.stochastic_epsilon = args.get_double("epsilon", 0.1);
   request.distributed.prefetch_depth = args.get_size("prefetch-depth", 2);
   request.distributed.checkpoint_file = args.get("checkpoint-file").value_or("");
   request.distributed.checkpoint_every = args.get_size("checkpoint-every", 1);
-  request.distributed.resume_from = args.get("resume-from").value_or("");
   request.bounding.prefetch_depth = request.distributed.prefetch_depth;
   request.streaming.epsilon = args.get_double("epsilon", 0.1);
 
